@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import harness, theory, verify
-from .distributions import CoordinateDistribution, DatasetStream, GaussianSpectrum
+from .distributions import CoordinateDistribution, GaussianSpectrum
 from .estimators import KRASULINA, OJA
 
 
@@ -62,8 +62,6 @@ def _make_dist(args):
     if args.dist == "gaussian":
         lam = np.array([float(s) for s in args.eigenvalues.split(",")])
         return GaussianSpectrum(eigenvalues=lam, clip_radius=args.clip_radius)
-    if args.dist == "csv":
-        return DatasetStream(source=args.path, center=args.center)
     raise SystemExit(f"unknown distribution {args.dist!r}")
 
 
@@ -80,14 +78,12 @@ def _add_common(p):
 
 
 def _add_dist_args(p):
-    p.add_argument("--dist", default="coordinate", choices=["coordinate", "gaussian", "csv"])
+    p.add_argument("--dist", default="coordinate", choices=["coordinate", "gaussian"])
     p.add_argument("--p", type=float, default=0.2)
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--eigenvalues", default="2,1", help="comma separated, descending")
     p.add_argument("--clip-radius", type=float, default=0.0, help="0 = 10*trace default")
-    p.add_argument("--path", help="CSV dataset path (dist=csv)")
-    p.add_argument("--center", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +279,6 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    _apply_config(args, argv)
     handler = {
         "run": _cmd_run,
         "slope": _cmd_slope,
@@ -292,7 +287,12 @@ def main(argv=None) -> int:
         "bound": _cmd_bound,
         "verify": _cmd_verify,
     }[args.command]
-    return handler(args)
+    try:
+        _apply_config(args, argv)
+        return handler(args)
+    except ValueError as exc:  # bad input, including estimators.InitError
+        print(f"incpca: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -85,34 +85,39 @@ class EstimatorState:
             raise ValueError("Oja state must have unit norm")
 
 
+def _increment(v: np.ndarray, x: np.ndarray, nsq) -> np.ndarray:
+    """xi(v, x) for a v whose squared norm nsq is already known."""
+    dot = np.einsum("...i,...i->...", v, x)
+    return dot[..., None] * x - (dot * dot / nsq)[..., None] * v
+
+
 def xi(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Krasulina increment direction: (v.x) x - ((v.x)^2/|v|^2) v.
 
     Orthogonal to v, and |xi|^2 <= B^2 |v|^2 / 4 whenever |x|^2 <= B.
+    v and x may be (d,) or per-trial (T, d) rows, and one (d,) v may meet
+    (m, d) rows of x; the result has one row per row of the inputs.
     """
     v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    nsq = float(v @ v)
-    if nsq == 0.0:
+    nsq = np.einsum("...i,...i->...", v, v)
+    if np.any(nsq == 0.0):
         raise ValueError("xi undefined for the zero vector")
-    dot = float(v @ x)
-    return dot * x - (dot * dot / nsq) * v
+    return _increment(v, np.asarray(x, dtype=float), nsq)
 
 
-def z_increment(v, x, gamma: float, v_star) -> float:
-    """Martingale decrease term: 2 gamma (v.v*) (xi.v*) / |v|^2."""
+def z_increment(v, x, gamma, v_star):
+    """Martingale decrease term: 2 gamma (v.v*) (xi.v*) / |v|^2, rows like xi.
+
+    gamma may be a scalar or one value per row.
+    """
     v = np.asarray(v, dtype=float)
-    nsq = float(v @ v)
-    if nsq == 0.0:
-        raise ValueError("z_increment undefined for the zero vector")
-    return 2.0 * gamma * float(v @ v_star) * float(xi(v, x) @ v_star) / nsq
+    nsq = np.einsum("...i,...i->...", v, v)
+    return 2.0 * gamma * (v @ v_star) * (xi(v, x) @ v_star) / nsq
 
 
 def krasulina_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     """One Krasulina step; V and x may be (d,) or per-trial (T, d) rows."""
-    dot = np.einsum("...i,...i->...", V, x)
-    nsq = np.einsum("...i,...i->...", V, V)
-    return V + gamma * (dot[..., None] * x - (dot * dot / nsq)[..., None] * V)
+    return V + gamma * _increment(V, x, np.einsum("...i,...i->...", V, V))
 
 
 def oja_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:

@@ -1,10 +1,14 @@
-"""Experiment runner: multi-trial simulations, traces, slopes, CSV output.
+"""Experiment runner: the trajectory engine, simulations, slopes, CSV output.
 
-Trials are advanced in lockstep as rows of a (trials, d) array, which keeps
-the per-step cost at a handful of vectorized operations.  Each trial still
-draws from its own counter-based stream, so any trial's trajectory is a
-pure function of (master_seed, trial_id) and is identical whether the
-trial runs alone or inside a batch.
+`trajectories` is the one implementation of the update recurrence: it
+draws the samples, applies gamma_n = c/n, calls the `estimators` kernels
+and renormalizes.  `simulate` (and through it every experiment) and
+`verify.check_pathwise` are loops over it.  Trials are advanced in lockstep
+as rows of a (trials, d) array, which keeps the per-step cost at a handful
+of vectorized operations.  Each trial still draws from its own
+counter-based stream, so any trial's trajectory is a pure function of
+(master_seed, trial_id) and is identical whether the trial runs alone or
+inside a batch.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from .estimators import KRASULINA, OJA, RENORM_THRESHOLD, InitError
 
 __all__ = [
     "ExperimentConfig",
-    "Trace",
     "SimResult",
     "SlopeFit",
     "simulate",
-    "run_trial",
+    "init_states",
+    "trajectories",
     "run_experiment",
     "estimate_slope",
     "counterexample_experiment",
@@ -69,14 +73,6 @@ class ExperimentConfig:
         return self.c_o / (2.0 * gt.gap)
 
 
-@dataclass(frozen=True)
-class Trace:
-    trial_id: int
-    ns: np.ndarray
-    psi: np.ndarray
-    failed: bool = False
-
-
 @dataclass
 class SimResult:
     grid: np.ndarray  # recorded step counts
@@ -95,7 +91,13 @@ def log_grid(n_o: int, horizon: int, points: int) -> np.ndarray:
     return grid
 
 
-def _init_states(dist, d, rule, init_mode, init_k, master_seed, trial_ids):
+def init_states(dist, rule, init_mode, init_k, master_seed, trial_ids):
+    """Initial (trials, d) states, per-row init failures, per-trial streams.
+
+    A failed row gets a placeholder state that callers mask out; Oja rows
+    are normalized.
+    """
+    d = dist.d
     V = np.empty((len(trial_ids), d))
     failed = np.zeros(len(trial_ids), dtype=bool)
     rngs = []
@@ -107,11 +109,45 @@ def _init_states(dist, d, rule, init_mode, init_k, master_seed, trial_ids):
         except InitError:
             failed[row] = True
             v = np.zeros(d)
-            v[0] = 1.0  # placeholder; row is masked out of all outputs
+            v[0] = 1.0
         if rule == OJA:
             v = v / np.linalg.norm(v)
         V[row] = v
     return V, failed, rngs
+
+
+def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
+    """The update recurrence for the rows of V, one trial per row, in lockstep.
+
+    Each trial draws its samples from its own stream in CHUNK-sized blocks;
+    step n uses gamma_n = c/n.  Yields (n, gamma, x, V_prev, V) after each
+    step n = n_o+1 .. horizon, where x holds the rows' samples.  Yielded
+    arrays are never written to afterwards: a Krasulina renormalization
+    (at the end of a chunk) replaces the state with a new array.
+    """
+    update = estimators.krasulina_update if rule == KRASULINA else estimators.oja_update
+    T, d = V.shape
+    n = n_o
+    while n < horizon:
+        m = min(CHUNK, horizon - n)
+        X = np.empty((T, m, d))
+        for row, rng in enumerate(rngs):
+            X[row] = dist.sample_block(rng, m)
+        for i in range(m):
+            n += 1
+            gamma = c / n
+            x = X[:, i, :]
+            V_prev, V = V, update(V, x, gamma)
+            yield n, gamma, x, V_prev, V
+        # free this chunk before the next is allocated and filled: a view
+        # kept into it would double peak memory on wide batches
+        del X, x
+        if rule == KRASULINA:
+            norms = np.linalg.norm(V, axis=1)
+            big = norms > RENORM_THRESHOLD
+            if big.any():
+                V = V.copy()
+                V[big] /= norms[big, None]
 
 
 def _psi_rows(V, v_star):
@@ -137,11 +173,10 @@ def simulate(
     """Run `trials` lockstep trajectories from n_o to horizon.
 
     Records the potential at the requested grid of step counts (always
-    including the final step) and, optionally, its running maximum.
+    including the final step) and, optionally, its running maximum; the
+    potential is evaluated only at those steps.
     """
-    gt = dist.ground_truth()
-    v_star = gt.v_star
-    d = v_star.size
+    v_star = dist.ground_truth().v_star
     if trial_ids is None:
         trial_ids = list(range(trials))
     if grid is None:
@@ -150,9 +185,8 @@ def simulate(
     if grid.size == 0 or grid[-1] != horizon:
         grid = np.append(grid, horizon)
 
-    V, failed, rngs = _init_states(dist, d, rule, init_mode, init_k, master_seed, trial_ids)
-    T = len(trial_ids)
-    psi_out = np.empty((T, grid.size))
+    V, failed, rngs = init_states(dist, rule, init_mode, init_k, master_seed, trial_ids)
+    psi_out = np.empty((len(trial_ids), grid.size))
     gi = 0
     psi = _psi_rows(V, v_star)
     max_psi = psi.copy() if track_max else None
@@ -160,48 +194,16 @@ def simulate(
         psi_out[:, gi] = psi
         gi += 1
 
-    update = estimators.krasulina_update if rule == KRASULINA else estimators.oja_update
-    n = n_o
-    while n < horizon:
-        m = min(CHUNK, horizon - n)
-        X = np.empty((T, m, d))
-        for row, rng in enumerate(rngs):
-            X[row] = dist.sample_block(rng, m)
-        for i in range(m):
-            n += 1
-            V = update(V, X[:, i, :], c / n)
+    for n, _, _, _, V in trajectories(dist, rule, c, n_o, horizon, V, rngs):
+        on_grid = gi < grid.size and n == grid[gi]
+        if track_max or on_grid:
             psi = _psi_rows(V, v_star)
             if track_max:
                 np.maximum(max_psi, psi, out=max_psi)
-            if gi < grid.size and n == grid[gi]:
+            if on_grid:
                 psi_out[:, gi] = psi
                 gi += 1
-        if rule == KRASULINA:
-            norms = np.linalg.norm(V, axis=1)
-            big = norms > RENORM_THRESHOLD
-            if big.any():
-                V[big] /= norms[big, None]
     return SimResult(grid=grid, psi=psi_out, failed=failed, max_psi=max_psi)
-
-
-def run_trial(config: ExperimentConfig, trial_id: int) -> Trace:
-    """One trajectory, deterministic in (master_seed, trial_id)."""
-    res = simulate(
-        config.dist,
-        config.rule,
-        config.resolved_c(),
-        config.n_o,
-        config.horizon,
-        trials=1,
-        master_seed=config.master_seed,
-        init_mode=config.init_mode,
-        init_k=config.init_k,
-        grid=log_grid(config.n_o, config.horizon, config.grid_points),
-        trial_ids=[trial_id],
-    )
-    return Trace(
-        trial_id=trial_id, ns=res.grid, psi=res.psi[0], failed=bool(res.failed[0])
-    )
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ def run_experiment(config: ExperimentConfig) -> Aggregate:
     )
     ok = ~res.failed
     if not ok.any():
-        raise RuntimeError("all trials failed at initialization")
+        raise InitError("all trials failed at initialization")
     psi = res.psi[ok]
     return Aggregate(
         ns=res.grid,
@@ -328,8 +330,9 @@ def output_dir(default: str = ".") -> str:
 def config_header_lines(config: ExperimentConfig) -> list[str]:
     lines = []
     for f in fields(config):
-        val = getattr(config, f.name)
-        lines.append(f"# {f.name} = {val!r}")
+        # a numpy array repr can span lines; each one must stay a comment
+        text = f"{f.name} = {getattr(config, f.name)!r}"
+        lines += [f"# {line}" for line in text.splitlines()]
     return lines
 
 

@@ -4,7 +4,9 @@ Each check compares a simulated quantity against its closed form (two-sided,
 3 standard errors), or against an upper bound (one-sided), or asserts a
 pathwise identity with explicit floating-point slack.  The checks are exact
 statements: a failure beyond 3 standard errors at these sample sizes means
-a bug, not noise.
+a bug, not noise.  The pathwise check replays `harness.trajectories`, the
+engine (and so the update kernels) that the experiments run, and takes xi
+and Z from `estimators.xi` / `estimators.z_increment`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import estimators, linalg, theory
-from .distributions import random_unit_vectors, trial_rng
-from .estimators import KRASULINA, OJA
+from . import estimators, harness, linalg, theory
+from .distributions import random_unit_vectors
+from .estimators import KRASULINA, InitError
 
 __all__ = [
     "CheckReport",
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 _BLOCK = 100_000  # sample block size for the Monte Carlo loops
+# check_pathwise evaluates its invariants on about this many (step, trial)
+# rows at once: one numpy call per invariant per batch, not per step
+_CHECK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -66,13 +71,6 @@ def write_reports(fh, reports) -> None:
         fh.write(rep.csv_row() + "\n")
 
 
-def _xi_rows(v: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Krasulina increment for one v against a (m, d) sample block."""
-    nsq = float(v @ v)
-    dots = X @ v
-    return dots[:, None] * X - (dots * dots / nsq)[:, None] * v
-
-
 def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     """E[xi | v] against A v - G(v) v, per coordinate.
 
@@ -83,7 +81,7 @@ def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     A = dist.covariance()
     ref = A @ v - linalg.rayleigh_quotient(A, v) * v
     X = dist.sample_block(rng, n_samples)
-    xs = _xi_rows(v, X)
+    xs = estimators.xi(v, X)
     mean = xs.mean(axis=0)
     se = xs.std(axis=0, ddof=1) / math.sqrt(n_samples)
     z = np.abs(mean - ref) / np.where(se > 0, se, 1.0)
@@ -110,15 +108,14 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     v = np.asarray(v, dtype=float)
     gt = dist.ground_truth()
     A = dist.covariance()
-    nsq = float(v @ v)
-    vhat_dot = float(v @ gt.v_star) / math.sqrt(nsq)
+    vhat_dot = float(v @ gt.v_star) / math.sqrt(float(v @ v))
     G = linalg.rayleigh_quotient(A, v)
     ref = 2.0 * gamma * vhat_dot**2 * (gt.lambda1 - G)
     psi = linalg.potential(v, gt.v_star)
     lower = 2.0 * gamma * gt.gap * psi * (1.0 - psi)
 
     X = dist.sample_block(rng, n_samples)
-    zs = 2.0 * gamma * float(v @ gt.v_star) / nsq * (_xi_rows(v, X) @ gt.v_star)
+    zs = estimators.z_increment(v, X, gamma, gt.v_star)
     mean = float(zs.mean())
     se = float(zs.std(ddof=1)) / math.sqrt(n_samples)
     two_sided = abs(mean - ref) <= 3.0 * max(se, 1e-15)
@@ -135,6 +132,101 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     )
 
 
+def _pathwise_violations(rule, v_star, B, trials, batch):
+    """Count invariant violations over a batch of engine steps.
+
+    Each (step, trial) is one row.  Returns the violation count and the
+    detail of the first offending row, or "" when there is none.
+    """
+    gamma = np.repeat([b[1] for b in batch], trials)
+    beta = np.repeat([theory.beta_step(rule, b[1], B) for b in batch], trials)
+    x, V, V_new = (np.concatenate([b[i] for b in batch]) for i in (2, 3, 4))
+    violations = 0
+    first = []  # (row, kind, quantities) of each violated kind's first row
+
+    def flag(kind, mask, quantities):
+        nonlocal violations
+        bad = np.flatnonzero(mask)
+        violations += bad.size
+        if bad.size:
+            first.append((bad[0], kind, quantities))
+
+    nsq = np.einsum("ij,ij->i", V, V)
+    psi = harness._psi_rows(V, v_star)
+    dot = np.einsum("ij,ij->i", V, x)
+    xi = estimators.xi(V, x)
+    xi_nsq = np.einsum("ij,ij->i", xi, xi)
+    xi_dot_v = np.einsum("ij,ij->i", xi, V)
+    Z = estimators.z_increment(V, x, gamma, v_star)
+
+    # xi.V cancels two terms of magnitude (V.x)^2, so that is the
+    # right scale for the rounding residual when xi itself is tiny
+    ortho_scale = np.maximum(np.sqrt(xi_nsq * nsq), dot * dot)
+    flag(
+        "xi not orthogonal to V",
+        np.abs(xi_dot_v) > 1e-10 * ortho_scale,
+        {"xi.V": xi_dot_v},
+    )
+    flag(
+        "xi norm bound",
+        xi_nsq > (B**2 * nsq / 4.0) * (1.0 + 1e-12),
+        {"xi_nsq": xi_nsq},
+    )
+    flag("Z range", np.abs(Z) > 4.0 * gamma * B * (1.0 + 1e-12), {"Z": Z})
+
+    nsq_new = np.einsum("ij,ij->i", V_new, V_new)
+    norm_new = np.sqrt(nsq_new)
+    psi_new = harness._psi_rows(V_new, v_star)
+    flag(
+        "potential inequality",
+        psi_new > psi + beta - Z + 1e-12 * np.maximum(1.0, psi),
+        {"psi_new": psi_new, "psi": psi, "Z": Z},
+    )
+    if rule == KRASULINA:
+        flag(
+            "norm monotonicity",
+            nsq_new < nsq * (1.0 - 1e-12),
+            {"nsq_new": nsq_new, "nsq": nsq},
+        )
+    else:
+        flag("unit norm", np.abs(norm_new - 1.0) > 1e-12, {"norm": norm_new})
+
+    zero_dot = dot == 0.0
+    if zero_dot.any():
+        moved = (
+            np.linalg.norm(V_new - V, axis=1) > 1e-12 * np.sqrt(nsq)
+        ) & zero_dot
+        flag("orthogonal-input no-op", moved, {"dot": dot})
+    # span containment: residual of V_new outside span(V, x)
+    b1 = V / np.sqrt(nsq)[:, None]
+    x_perp = x - np.einsum("ij,ij->i", b1, x)[:, None] * b1
+    xp_norm = np.linalg.norm(x_perp, axis=1)
+    safe = np.where(xp_norm > 1e-300, xp_norm, 1.0)
+    b2 = x_perp / safe[:, None]
+    resid = (
+        V_new
+        - np.einsum("ij,ij->i", b1, V_new)[:, None] * b1
+        - np.einsum("ij,ij->i", b2, V_new)[:, None] * b2
+    )
+    # when x is nearly parallel to V the b2 basis vector loses
+    # about eps * |x| / |x_perp| digits, so the tolerance has to
+    # carry that conditioning factor
+    cond = np.linalg.norm(x, axis=1) / safe
+    span_tol = (1e-10 + 100.0 * np.finfo(float).eps * cond) * norm_new
+    resid_norm = np.linalg.norm(resid, axis=1)
+    flag("span containment", resid_norm > span_tol, {"resid": resid_norm})
+
+    if not first:
+        return violations, ""
+    # the earliest step wins; within a step, the first kind checked
+    r, kind, quantities = min(first, key=lambda f: f[0] // trials)
+    return violations, (
+        f"{kind} at step n={batch[r // trials][0]} trial={r % trials}: "
+        f"V={V[r].tolist()} "
+        f"{ {k: float(np.asarray(q)[r]) for k, q in quantities.items()} }"
+    )
+
+
 def check_pathwise(
     dist,
     rule: str,
@@ -147,7 +239,8 @@ def check_pathwise(
 ) -> CheckReport:
     """Run full trajectories asserting every per-step identity and bound.
 
-    Checked at every step of every trial: the potential inequality
+    The trajectories come from `harness.trajectories`.  Checked at every
+    step of every trial: the potential inequality
     Psi_n <= Psi_{n-1} + beta_n - Z_n, xi orthogonal to V, the xi norm
     bound, |Z| <= 4 gamma B, Krasulina norm monotonicity / Oja unit norm,
     the orthogonal-input no-op, and span containment.  empirical is the
@@ -155,134 +248,22 @@ def check_pathwise(
     """
     gt = dist.ground_truth()
     v_star, B = gt.v_star, dist.B
-    d = v_star.size
-    V = np.empty((trials, d))
-    rngs = []
-    for t in range(trials):
-        rng = trial_rng(master_seed, t)
-        rngs.append(rng)
-        v = estimators.init_vector(init_mode, d, dist=dist, rng=rng, k=init_k)
-        if rule == OJA:
-            v = v / np.linalg.norm(v)
-        V[t] = v
+    V, failed, rngs = harness.init_states(
+        dist, rule, init_mode, init_k, master_seed, range(trials)
+    )
+    if failed.any():
+        raise InitError(f"trial {int(np.flatnonzero(failed)[0])}: zero initial vector")
 
-    violations = 0
-    detail = ""
-
-    def flag(kind, mask, n, quantities):
-        nonlocal violations, detail
-        bad = int(np.count_nonzero(mask))
-        if bad and not detail:
-            t = int(np.flatnonzero(mask)[0])
-            detail = (
-                f"{kind} at step n={n} trial={t}: V={V[t].tolist()} "
-                f"{ {k: float(np.asarray(q)[t]) for k, q in quantities.items()} }"
-            )
-        violations += bad
-
-    nsq = np.einsum("ij,ij->i", V, V)
-    dots_star = V @ v_star
-    psi = np.clip(1.0 - dots_star**2 / nsq, 0.0, 1.0)
-    chunk = 2048
-    n = 0
-    while n < steps:
-        m = min(chunk, steps - n)
-        X = np.empty((trials, m, d))
-        for t, rng in enumerate(rngs):
-            X[t] = dist.sample_block(rng, m)
-        for i in range(m):
-            n += 1
-            gamma = c / n
-            x = X[:, i, :]
-            dot = np.einsum("ij,ij->i", V, x)
-            xi = dot[:, None] * x - (dot * dot / nsq)[:, None] * V
-            xi_nsq = np.einsum("ij,ij->i", xi, xi)
-            xi_dot_v = np.einsum("ij,ij->i", xi, V)
-            Z = 2.0 * gamma * dots_star * (xi @ v_star) / nsq
-
-            # xi.V cancels two terms of magnitude (V.x)^2, so that is the
-            # right scale for the rounding residual when xi itself is tiny
-            ortho_scale = np.maximum(np.sqrt(xi_nsq * nsq), dot * dot)
-            flag(
-                "xi not orthogonal to V",
-                np.abs(xi_dot_v) > 1e-10 * ortho_scale,
-                n,
-                {"xi.V": xi_dot_v},
-            )
-            flag(
-                "xi norm bound",
-                xi_nsq > (B**2 * nsq / 4.0) * (1.0 + 1e-12),
-                n,
-                {"xi_nsq": xi_nsq},
-            )
-            flag("Z range", np.abs(Z) > 4.0 * gamma * B * (1.0 + 1e-12), n, {"Z": Z})
-
-            if rule == KRASULINA:
-                V_new = V + gamma * xi
-            else:
-                W = V + (gamma * dot)[:, None] * x
-                V_new = W / np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
-            nsq_new = np.einsum("ij,ij->i", V_new, V_new)
-            dots_star_new = V_new @ v_star
-            psi_new = np.clip(1.0 - dots_star_new**2 / nsq_new, 0.0, 1.0)
-
-            beta = theory.beta_step(rule, gamma, B)
-            flag(
-                "potential inequality",
-                psi_new > psi + beta - Z + 1e-12 * np.maximum(1.0, psi),
-                n,
-                {"psi_new": psi_new, "psi": psi, "Z": Z},
-            )
-            if rule == KRASULINA:
-                flag(
-                    "norm monotonicity",
-                    nsq_new < nsq * (1.0 - 1e-12),
-                    n,
-                    {"nsq_new": nsq_new, "nsq": nsq},
-                )
-            else:
-                flag(
-                    "unit norm",
-                    np.abs(np.sqrt(nsq_new) - 1.0) > 1e-12,
-                    n,
-                    {"norm": np.sqrt(nsq_new)},
-                )
-
-            zero_dot = dot == 0.0
-            if zero_dot.any():
-                moved = (
-                    np.linalg.norm(V_new - V, axis=1) > 1e-12 * np.sqrt(nsq)
-                ) & zero_dot
-                flag("orthogonal-input no-op", moved, n, {"dot": dot})
-            # span containment: residual of V_new outside span(V, x)
-            b1 = V / np.sqrt(nsq)[:, None]
-            x_perp = x - np.einsum("ij,ij->i", b1, x)[:, None] * b1
-            xp_norm = np.linalg.norm(x_perp, axis=1)
-            safe = np.where(xp_norm > 1e-300, xp_norm, 1.0)
-            b2 = x_perp / safe[:, None]
-            resid = (
-                V_new
-                - np.einsum("ij,ij->i", b1, V_new)[:, None] * b1
-                - np.einsum("ij,ij->i", b2, V_new)[:, None] * b2
-            )
-            # when x is nearly parallel to V the b2 basis vector loses
-            # about eps * |x| / |x_perp| digits, so the tolerance has to
-            # carry that conditioning factor
-            cond = np.linalg.norm(x, axis=1) / safe
-            span_tol = (1e-10 + 100.0 * np.finfo(float).eps * cond) * np.sqrt(nsq_new)
-            flag(
-                "span containment",
-                np.linalg.norm(resid, axis=1) > span_tol,
-                n,
-                {"resid": np.linalg.norm(resid, axis=1)},
-            )
-
-            V, nsq, dots_star, psi = V_new, nsq_new, dots_star_new, psi_new
-        norms = np.sqrt(nsq)
-        big = norms > estimators.RENORM_THRESHOLD
-        if big.any():
-            V[big] /= norms[big, None]
-            nsq = np.einsum("ij,ij->i", V, V)
+    violations, detail = 0, ""
+    batch_steps = max(1, _CHECK_ROWS // trials)
+    batch = []
+    for step in harness.trajectories(dist, rule, c, 0, steps, V, rngs):
+        batch.append(step)
+        if len(batch) == batch_steps or step[0] == steps:
+            bad, found = _pathwise_violations(rule, v_star, B, trials, batch)
+            violations += bad
+            detail = detail or found
+            batch = []
 
     total = steps * trials
     return CheckReport(
@@ -357,8 +338,6 @@ def check_always_good(
     The sup is truncated at the horizon, which only weakens the empirical
     event, so the one-sided comparison stays sound.
     """
-    from .harness import simulate
-
     gt = dist.ground_truth()
     d = gt.v_star.size
     bound, n_o_min = theory.always_good_bound(eps)
@@ -375,7 +354,7 @@ def check_always_good(
             slack_used=0.0,
             vacuous=True,
         )
-    res = simulate(
+    res = harness.simulate(
         dist,
         rule,
         c,

@@ -130,3 +130,46 @@ def test_verify_quick_suite(tmp_path):
     assert lines[0] == "name,n_samples,empirical,reference,std_error,pass,slack"
     assert len(lines) == 9  # eight checks
     assert all(",true," in ln for ln in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--init", "average_k", "--c", "1"], "average_k needs k >= 1"),
+        ([], "give exactly one of c, c_o"),
+        # the average of trial 0's two samples cancels under this seed
+        (
+            ["--init", "average_k", "--init-k", "2", "--c", "1", "--trials", "1",
+             "--p", "0.3", "--d", "4", "--seed", "11"],
+            "all trials failed at initialization",
+        ),
+    ],
+)
+def test_run_input_errors_are_one_line(tmp_path, capsys, flags, message):
+    out = tmp_path / "exp.csv"
+    rc = main(["run", "--horizon", "100", "--trials", "2", "--out", str(out), *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"incpca: error: {message}\n"
+    assert not out.exists()
+
+
+def test_slope_reads_back_gaussian_run(tmp_path, capsys):
+    out = tmp_path / "gauss.csv"
+    eigenvalues = ",".join(repr(1.0 / k) for k in range(1, 13))
+    rc = main(
+        [
+            "run",
+            "--dist", "gaussian", "--eigenvalues", eigenvalues,
+            "--rule", "oja", "--c-o", "4",
+            "--horizon", "3000", "--trials", "10", "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    header = out.read_text().split("n,mean_psi,")[0].splitlines()
+    assert len(header) > 11 and all(line.startswith("#") for line in header)
+    capsys.readouterr()
+    rc = main(["slope", "--input", str(out), "--n-min", "300", "--n-max", "3000"])
+    assert rc == 0
+    assert "slope=" in capsys.readouterr().out

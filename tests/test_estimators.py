@@ -101,10 +101,22 @@ def test_batched_updates_match_loop():
     gamma = 0.2
     batch_k = krasulina_update(V, X, gamma)
     batch_o = oja_update(V / np.linalg.norm(V, axis=1, keepdims=True), X, gamma)
+    vstar = np.eye(4)[0]
+    batch_xi = xi(V, X)
+    batch_z = z_increment(V, X, gamma, vstar)
+    # one state against a block of samples, as the Monte Carlo checks use it
+    block_xi = xi(V[0], X)
+    block_z = z_increment(V[0], X, gamma, vstar)
     for i in range(6):
         assert np.array_equal(batch_k[i], krasulina_update(V[i], X[i], gamma))
         vi = V[i] / np.linalg.norm(V[i])
         assert np.array_equal(batch_o[i], oja_update(vi, X[i], gamma))
+        assert np.array_equal(batch_xi[i], xi(V[i], X[i]))
+        assert batch_z[i] == z_increment(V[i], X[i], gamma, vstar)
+        assert np.array_equal(block_xi[i], xi(V[0], X[i]))
+        assert block_z[i] == z_increment(V[0], X[i], gamma, vstar)
+    with pytest.raises(ValueError):
+        xi(np.vstack([V[:2], np.zeros(4)]), X[:3])
 
 
 def test_step_dispatch_and_state_bookkeeping():

@@ -1,23 +1,29 @@
 """Tests for the experiment harness: determinism, aggregation, CSV output."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from incpca.distributions import CoordinateDistribution
+from incpca import estimators, harness, verify
+from incpca.distributions import CoordinateDistribution, GaussianSpectrum, trial_rng
 from incpca.harness import (
+    CHUNK,
     Aggregate,
     ExperimentConfig,
+    _psi_rows,
     counterexample_experiment,
     estimate_slope,
     log_grid,
     run_experiment,
-    run_trial,
     simulate,
     write_experiment_csv,
 )
 
 
 DIST = CoordinateDistribution(p=0.3, sigma=0.5, d=4)
+GAUSS = GaussianSpectrum(eigenvalues=np.array([1.0, 0.5, 0.25]))
 
 
 def test_log_grid_properties():
@@ -40,13 +46,12 @@ def test_config_validation():
     assert cfg.resolved_c() == pytest.approx(4.0 / (2 * gt.gap))
 
 
-def test_run_trial_deterministic_in_seed_and_trial_id():
-    cfg = ExperimentConfig(dist=DIST, c=2.0, horizon=2000, trials=1, master_seed=5)
-    a = run_trial(cfg, trial_id=3)
-    b = run_trial(cfg, trial_id=3)
-    c = run_trial(cfg, trial_id=4)
-    assert np.array_equal(a.psi, b.psi)
-    assert not np.array_equal(a.psi, c.psi)
+def test_simulate_deterministic_in_seed_and_trial_id():
+    def solo(trial_id):
+        return simulate(DIST, "krasulina", 2.0, 0, 2000, 1, 5, trial_ids=[trial_id]).psi
+
+    assert np.array_equal(solo(3), solo(3))
+    assert not np.array_equal(solo(3), solo(4))
 
 
 def test_trial_rows_independent_of_batch_composition():
@@ -54,11 +59,72 @@ def test_trial_rows_independent_of_batch_composition():
     res_batch = simulate(
         DIST, "krasulina", 2.0, 0, 2000, trials=10, master_seed=5
     )
-    solo = run_trial(
-        ExperimentConfig(dist=DIST, c=2.0, horizon=2000, trials=1, master_seed=5),
-        trial_id=7,
+    solo = simulate(DIST, "krasulina", 2.0, 0, 2000, 1, 5, trial_ids=[7])
+    assert np.array_equal(res_batch.psi[7], solo.psi[0])
+
+
+@given(
+    data=st.data(),
+    rule=st.sampled_from(["krasulina", "oja"]),
+    gaussian=st.booleans(),
+    n_o=st.sampled_from([0, 7]),
+    horizon=st.sampled_from([1, 300, CHUNK + 150]),
+)
+@settings(max_examples=12, deadline=None)
+def test_any_trial_subset_reproduces_its_rows(data, rule, gaussian, n_o, horizon):
+    dist = GAUSS if gaussian else DIST
+    full = simulate(dist, rule, 1.5, n_o, n_o + horizon, 6, 11, track_max=True)
+    subset = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    part = simulate(
+        dist, rule, 1.5, n_o, n_o + horizon, 6, 11, track_max=True, trial_ids=subset
     )
-    assert np.array_equal(res_batch.psi[7], solo.psi)
+    assert np.array_equal(part.grid, full.grid)
+    assert np.array_equal(part.psi, full.psi[subset])
+    assert np.array_equal(part.max_psi, full.max_psi[subset])
+
+
+@pytest.mark.parametrize("dist", [DIST, GAUSS], ids=["coordinate", "gaussian"])
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+def test_simulate_matches_single_state_reference(dist, rule):
+    # one estimators.step per sample, drawn per trial in CHUNK-sized blocks
+    c, n_o, horizon, seed = 2.0, 5, CHUNK + 300, 9
+    res = simulate(dist, rule, c, n_o, horizon, 3, seed)
+    v_star = dist.ground_truth().v_star
+    for tid in range(3):
+        rng = trial_rng(seed, tid)
+        v = estimators.init_vector("random_unit", dist.d, rng=rng)
+        if rule == "oja":
+            v = v / np.linalg.norm(v)
+        state = estimators.EstimatorState(
+            V=v, n=n_o, rule=rule, lr=estimators.LearningRate(c=c, n_o=n_o)
+        )
+        while state.n < horizon:
+            for x in dist.sample_block(rng, min(CHUNK, horizon - state.n)):
+                state = estimators.step(state, x)
+        assert _psi_rows(state.V[None, :], v_star)[0] == res.psi[tid, -1]
+
+
+def test_renormalization_leaves_results_unchanged(monkeypatch):
+    # with threshold 1 every growing Krasulina row is renormalized at the
+    # end of each chunk; the potential is scale-invariant
+    steps = 2 * CHUNK + 10
+    ref = simulate(DIST, "krasulina", 2.0, 0, steps, 4, 3)
+    monkeypatch.setattr(harness, "RENORM_THRESHOLD", 1.0)
+    res = simulate(DIST, "krasulina", 2.0, 0, steps, 4, 3)
+    assert np.allclose(res.psi, ref.psi, rtol=1e-9, atol=1e-12)
+    rep = verify.check_pathwise(DIST, "krasulina", steps, 4, 3)
+    assert rep.passed, rep.detail
+
+
+def test_simulate_holds_one_sample_chunk_at_a_time():
+    chunk_bytes = 50 * CHUNK * DIST.d * 8
+    tracemalloc.start()
+    try:
+        simulate(DIST, "oja", 1.0, 0, 3 * CHUNK, 50, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chunk_bytes
 
 
 def test_simulate_grid_and_track_max():

@@ -1,13 +1,15 @@
 """Tests for the runtime checking suite."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
+from incpca import estimators
 from incpca.distributions import CoordinateDistribution
 from incpca.linalg import potential
-from incpca.estimators import krasulina_update, xi, z_increment
+from incpca.estimators import InitError, krasulina_update, xi, z_increment
 from incpca.theory import beta_step
 from incpca.verify import (
     CheckReport,
@@ -47,6 +49,89 @@ def test_pathwise_zero_violations_both_rules():
         rep = check_pathwise(DIST, rule, steps=3000, trials=4, master_seed=2)
         assert rep.passed, rep.detail
         assert rep.empirical == 0.0
+
+
+def test_pathwise_init_failure_raises():
+    with pytest.raises(InitError):
+        check_pathwise(
+            CoordinateDistribution(p=0.3, sigma=0.5, d=4),
+            "krasulina",
+            steps=10,
+            trials=20,
+            master_seed=0,
+            init_mode="average_k",
+            init_k=2,
+        )
+
+
+@pytest.mark.parametrize(
+    "faults, expected, count",
+    [
+        # same step: the kind checked first wins over a lower trial number
+        (
+            {40: [("shrink", 3), ("leave span", 1)]},
+            "norm monotonicity at step n=40 trial=3",
+            2,
+        ),
+        # an earlier step wins over a kind checked earlier
+        (
+            {39: [("leave span", 2)], 40: [("shrink", 3), ("leave span", 1)]},
+            "span containment at step n=39 trial=2",
+            3,
+        ),
+    ],
+)
+def test_pathwise_reports_first_offending_step_of_the_kernel(
+    monkeypatch, faults, expected, count
+):
+    true_update = estimators.krasulina_update
+    step = 0
+
+    def faulty(V, x, gamma):
+        nonlocal step
+        step += 1
+        out = true_update(V, x, gamma)
+        for kind, t in faults.get(step, []):
+            if kind == "shrink":
+                out[t] *= 0.5
+            else:  # a small component orthogonal to V and x
+                w = np.eye(V.shape[1])[-1]
+                for b in (V[t], x[t]):
+                    w = w - (w @ b) / (b @ b) * b
+                out[t] += 1e-6 * np.linalg.norm(V[t]) * w / np.linalg.norm(w)
+        return out
+
+    monkeypatch.setattr(estimators, "krasulina_update", faulty)
+    rep = check_pathwise(DIST, "krasulina", steps=100, trials=8, master_seed=1)
+    assert not rep.passed
+    assert rep.empirical == count
+    assert rep.detail.startswith(expected + ": V=[")
+
+
+def test_expectation_checks_move_only_in_the_last_digits():
+    # the samples now go through estimators.xi / estimators.z_increment,
+    # whose dot products and operation order differ from the former
+    # inline formulas written out here
+    dist = CoordinateDistribution(p=0.2, sigma=0.5, d=10)
+    A, v_star = dist.covariance(), dist.ground_truth().v_star
+    for seed in range(5):
+        v = np.random.default_rng(seed).standard_normal(10)
+        X = dist.sample_block(np.random.default_rng(seed), 100_000)
+        nsq = float(v @ v)
+        dots = X @ v
+        xis = dots[:, None] * X - (dots * dots / nsq)[:, None] * v
+        ref = A @ v - (v @ A @ v / nsq) * v
+        se = xis.std(axis=0, ddof=1) / math.sqrt(100_000)
+        rep = check_xi_expectation(dist, v, 100_000, np.random.default_rng(seed))
+        assert rep.empirical == pytest.approx(
+            float((np.abs(xis.mean(axis=0) - ref) / se).max()), rel=1e-12, abs=0
+        )
+        zs = 2.0 * 0.1 * float(v @ v_star) / nsq * (xis @ v_star)
+        rep = check_z_expectation(dist, v, 0.1, 100_000, np.random.default_rng(seed))
+        assert rep.empirical == pytest.approx(float(zs.mean()), rel=1e-12, abs=0)
+        assert rep.std_error == pytest.approx(
+            float(zs.std(ddof=1)) / math.sqrt(100_000), rel=1e-12, abs=0
+        )
 
 
 def test_pathwise_hand_worked_step():

@@ -108,14 +108,17 @@ class CoordinateDistribution:
 
     def sample_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """(m, d) block of i.i.d. draws."""
-        coords, signs = self._draw_support(rng, m)
+        coords, signs = self.draw_support(rng, m)
         x = np.zeros((m, self.d))
         val = np.where(coords == 0, 1.0, self.sigma) * signs
         x[np.arange(m), coords] = val
         return x
 
-    def _draw_support(self, rng: np.random.Generator, m: int):
-        """Compact draw: coordinate indices (0-based) and signs."""
+    def draw_support(self, rng: np.random.Generator, m: int):
+        """Compact draw of m samples: coordinate indices (0-based) and signs.
+
+        `sample_block` is built from it, so both consume the stream alike.
+        """
         u = rng.random(m)
         coords = np.empty(m, dtype=np.intp)
         head = u < self.p

@@ -2,13 +2,17 @@
 
 `trajectories` is the one implementation of the update recurrence: it
 draws the samples, applies gamma_n = c/n, calls the `estimators` kernels
-and renormalizes.  `simulate` (and through it every experiment) and
-`verify.check_pathwise` are loops over it.  Trials are advanced in lockstep
-as rows of a (trials, d) array, which keeps the per-step cost at a handful
-of vectorized operations.  Each trial still draws from its own
-counter-based stream, so any trial's trajectory is a pure function of
-(master_seed, trial_id) and is identical whether the trial runs alone or
-inside a batch.
+and renormalizes.  `verify.check_pathwise` and `simulate` are loops over
+it, except that `simulate` runs Oja on `CoordinateDistribution` data
+without `track_max` through `_oja_coordinate_psi`: from the same draws it
+evaluates the recurrence in closed form (each step scales one
+coordinate), and agrees with `trajectories` to rounding.  Krasulina,
+Gaussian data and `track_max` runs take `trajectories`.  Trials are
+advanced in lockstep as rows of a (trials, d) array, which keeps the
+per-step cost at a handful of vectorized operations.  Each trial still
+draws from its own counter-based stream, so any trial's trajectory is a
+pure function of (master_seed, trial_id) and is identical whether the
+trial runs alone or inside a batch.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import estimators
-from .distributions import trial_rng
+from .distributions import CoordinateDistribution, trial_rng
 from .estimators import KRASULINA, OJA, RENORM_THRESHOLD, InitError
 
 __all__ = [
@@ -156,6 +160,62 @@ def _psi_rows(V, v_star):
     return np.clip(1.0 - dots * dots / nsq, 0.0, 1.0)
 
 
+def _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid):
+    """Oja's potential at the nondecreasing `grid`, in closed form.
+
+    Every sample of `dist` is +-s e_k, so an Oja step only scales
+    coordinate k by 1 + gamma_n s^2 before the (scale-free) normalization:
+    the state is |V| * exp(L) up to sign and scale, where L sums
+    log1p(gamma_n s^2) into the sampled coordinates.  Each trial draws its
+    support from its own stream in the same CHUNK-sized blocks as
+    `trajectories`, so it sees the same samples.  Per chunk, one bincount
+    sums the logs per (trial, grid segment, coordinate) and a cumsum over
+    segments gives L at every grid point in the chunk.  All arithmetic is
+    row-local, so a row does not depend on the other rows of the batch.
+    """
+    T, d = V.shape
+    points, columns = np.unique(grid, return_inverse=True)
+    psi = np.empty((T, points.size))
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(V))  # log |state|, -inf on zero coordinates
+    gi = int(np.searchsorted(points, n_o, side="right"))
+    psi[:, :gi] = _off_axis_share(logw)[:, None]
+    n = n_o
+    while n < horizon:
+        m = min(CHUNK, horizon - n)
+        coords = np.empty((T, m), dtype=np.intp)
+        for row, rng in enumerate(rngs):
+            coords[row] = dist.draw_support(rng, m)[0]
+        steps = np.arange(n + 1, n + m + 1)
+        gamma = c / steps
+        logs = np.where(coords == 0, np.log1p(gamma), np.log1p(gamma * dist.sigma**2))
+        # step n belongs to the segment ending at the first grid point >= n
+        seg = np.searchsorted(points, steps) - gi
+        nseg = int(seg[-1]) + 1
+        bins = (np.arange(T)[:, None] * nseg + seg) * d + coords
+        sums = np.bincount(bins.ravel(), weights=logs.ravel(), minlength=T * nseg * d)
+        # freed before the next chunk's draws, as in `trajectories`
+        del coords, logs, bins
+        cum = logw[:, None, :] + np.cumsum(sums.reshape(T, nseg, d), axis=1)
+        n += m
+        done = int(np.searchsorted(points, n, side="right")) - gi
+        psi[:, gi : gi + done] = _off_axis_share(cum[:, :done])
+        gi += done
+        logw = cum[:, -1]
+    return psi[:, columns]
+
+
+def _off_axis_share(logw):
+    """Potential of states with log-magnitudes logw (last axis), v* = e_1.
+
+    The off-axis share of the squared norm, |v - (v.v*) v*|^2 / |v|^2, is
+    accurate at small values, unlike 1 - (v.v*)^2 / |v|^2.
+    """
+    w2 = np.exp(2.0 * (logw - logw.max(axis=-1, keepdims=True)))
+    off = w2[..., 1:].sum(axis=-1)
+    return off / (w2[..., 0] + off)
+
+
 def simulate(
     dist,
     rule: str,
@@ -172,20 +232,27 @@ def simulate(
 ) -> SimResult:
     """Run `trials` lockstep trajectories from n_o to horizon.
 
-    Records the potential at the requested grid of step counts (always
-    including the final step) and, optionally, its running maximum; the
-    potential is evaluated only at those steps.
+    Records the potential at the requested nondecreasing grid of step
+    counts (every copy of a repeated point; always including the final
+    step) and, optionally, its running maximum; the potential is evaluated
+    only at those steps.  Oja on coordinate data without track_max runs in
+    closed form (`_oja_coordinate_psi`), everything else on `trajectories`.
     """
     v_star = dist.ground_truth().v_star
     if trial_ids is None:
         trial_ids = list(range(trials))
     if grid is None:
         grid = log_grid(n_o, horizon, 200)
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be nondecreasing")
     grid = grid[(grid >= n_o) & (grid <= horizon)]
     if grid.size == 0 or grid[-1] != horizon:
         grid = np.append(grid, horizon)
 
     V, failed, rngs = init_states(dist, rule, init_mode, init_k, master_seed, trial_ids)
+    if rule == OJA and isinstance(dist, CoordinateDistribution) and not track_max:
+        psi = _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid)
+        return SimResult(grid=grid, psi=psi, failed=failed)
     psi_out = np.empty((len(trial_ids), grid.size))
     gi = 0
     psi = _psi_rows(V, v_star)
@@ -200,7 +267,7 @@ def simulate(
             psi = _psi_rows(V, v_star)
             if track_max:
                 np.maximum(max_psi, psi, out=max_psi)
-            if on_grid:
+            while gi < grid.size and grid[gi] == n:
                 psi_out[:, gi] = psi
                 gi += 1
     return SimResult(grid=grid, psi=psi_out, failed=failed, max_psi=max_psi)

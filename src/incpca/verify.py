@@ -11,6 +11,7 @@ and Z from `estimators.xi` / `estimators.z_increment`.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -51,24 +52,28 @@ class CheckReport:
     vacuous: bool = False
     detail: str = ""
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.name,
-                str(self.n_samples),
-                repr(float(self.empirical)),
-                repr(float(self.reference)),
-                repr(float(self.std_error)),
-                str(self.passed).lower(),
-                repr(float(self.slack_used)),
-            ]
-        )
+    def csv_row(self) -> list[str]:
+        """The fields of this report's row in `write_reports` output."""
+        return [
+            self.name,
+            str(self.n_samples),
+            repr(float(self.empirical)),
+            repr(float(self.reference)),
+            repr(float(self.std_error)),
+            str(self.passed).lower(),
+            repr(float(self.slack_used)),
+            str(self.vacuous).lower(),
+            self.detail,
+        ]
 
 
 def write_reports(fh, reports) -> None:
-    fh.write("name,n_samples,empirical,reference,std_error,pass,slack\n")
-    for rep in reports:
-        fh.write(rep.csv_row() + "\n")
+    """One CSV row per report; a detail holding commas is quoted."""
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(
+        "name,n_samples,empirical,reference,std_error,pass,slack,vacuous,detail".split(",")
+    )
+    out.writerows(rep.csv_row() for rep in reports)
 
 
 def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:

@@ -127,7 +127,7 @@ def test_verify_quick_suite(tmp_path):
     )
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "name,n_samples,empirical,reference,std_error,pass,slack"
+    assert lines[0] == "name,n_samples,empirical,reference,std_error,pass,slack,vacuous,detail"
     assert len(lines) == 9  # eight checks
     assert all(",true," in ln for ln in lines[1:])
 

@@ -69,18 +69,21 @@ def test_trial_rows_independent_of_batch_composition():
     gaussian=st.booleans(),
     n_o=st.sampled_from([0, 7]),
     horizon=st.sampled_from([1, 300, CHUNK + 150]),
+    track_max=st.booleans(),
 )
-@settings(max_examples=12, deadline=None)
-def test_any_trial_subset_reproduces_its_rows(data, rule, gaussian, n_o, horizon):
+@settings(max_examples=16, deadline=None)
+def test_any_trial_subset_reproduces_its_rows(data, rule, gaussian, n_o, horizon, track_max):
+    # oja on coordinate data without track_max runs the closed-form engine
     dist = GAUSS if gaussian else DIST
-    full = simulate(dist, rule, 1.5, n_o, n_o + horizon, 6, 11, track_max=True)
+    full = simulate(dist, rule, 1.5, n_o, n_o + horizon, 6, 11, track_max=track_max)
     subset = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
     part = simulate(
-        dist, rule, 1.5, n_o, n_o + horizon, 6, 11, track_max=True, trial_ids=subset
+        dist, rule, 1.5, n_o, n_o + horizon, 6, 11, track_max=track_max, trial_ids=subset
     )
     assert np.array_equal(part.grid, full.grid)
     assert np.array_equal(part.psi, full.psi[subset])
-    assert np.array_equal(part.max_psi, full.max_psi[subset])
+    if track_max:
+        assert np.array_equal(part.max_psi, full.max_psi[subset])
 
 
 @pytest.mark.parametrize("dist", [DIST, GAUSS], ids=["coordinate", "gaussian"])
@@ -101,7 +104,34 @@ def test_simulate_matches_single_state_reference(dist, rule):
         while state.n < horizon:
             for x in dist.sample_block(rng, min(CHUNK, horizon - state.n)):
                 state = estimators.step(state, x)
-        assert _psi_rows(state.V[None, :], v_star)[0] == res.psi[tid, -1]
+        v = state.V
+        if rule == "oja" and dist is DIST:
+            # the closed-form engine: to rounding, against the accurate potential
+            off = v - (v @ v_star) * v_star
+            assert res.psi[tid, -1] == pytest.approx(off @ off / (v @ v), rel=1e-10)
+        else:
+            assert _psi_rows(v[None, :], v_star)[0] == res.psi[tid, -1]
+
+
+@pytest.mark.parametrize(
+    "init_mode, init_k, n_o, horizon, d, c",
+    [
+        ("random_unit", None, 0, CHUNK + 300, 10, 60.0),
+        ("random_unit", None, 100, 2 * CHUNK + 7, 2, 0.3),
+        ("first_point", None, 7, CHUNK + 1, 10, 0.3),
+        ("average_k", 3, 0, 2 * CHUNK, 2, 60.0),
+        ("average_k", 2, 50, 500, 10, 0.3),
+    ],
+)
+def test_closed_form_oja_matches_the_dense_engine(init_mode, init_k, n_o, horizon, d, c):
+    dist = CoordinateDistribution(p=0.5, sigma=0.5, d=d)
+    args = (dist, "oja", c, n_o, horizon, 12, 4)
+    # track_max sends the same run through trajectories
+    dense = simulate(*args, init_mode=init_mode, init_k=init_k, track_max=True)
+    fast = simulate(*args, init_mode=init_mode, init_k=init_k)
+    assert np.array_equal(fast.grid, dense.grid)
+    assert np.array_equal(fast.failed, dense.failed)
+    assert np.allclose(fast.psi, dense.psi, rtol=0.0, atol=1e-12)
 
 
 def test_renormalization_leaves_results_unchanged(monkeypatch):
@@ -118,13 +148,14 @@ def test_renormalization_leaves_results_unchanged(monkeypatch):
 
 def test_simulate_holds_one_sample_chunk_at_a_time():
     chunk_bytes = 50 * CHUNK * DIST.d * 8
-    tracemalloc.start()
-    try:
-        simulate(DIST, "oja", 1.0, 0, 3 * CHUNK, 50, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * chunk_bytes
+    for rule in ("krasulina", "oja"):  # the dense engine, the closed form
+        tracemalloc.start()
+        try:
+            simulate(DIST, rule, 1.0, 0, 3 * CHUNK, 50, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk_bytes, rule
 
 
 def test_simulate_grid_and_track_max():
@@ -144,6 +175,17 @@ def test_simulate_grid_and_track_max():
     assert res.grid[-1] == 1000
     assert res.max_psi.shape == (5,)
     assert np.all(res.max_psi >= res.psi.max(axis=1) - 1e-15)
+
+
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])  # dense, closed form
+def test_simulate_records_every_copy_of_a_repeated_grid_point(rule):
+    ref = simulate(DIST, rule, 1.0, 0, 100, 4, 1, grid=np.array([0, 10, 50]))
+    grid = np.array([0, 0, 10, 10, 50, 100, 100])
+    res = simulate(DIST, rule, 1.0, 0, 100, 4, 1, grid=grid)
+    assert np.array_equal(res.grid, grid)
+    assert np.array_equal(res.psi, ref.psi[:, [0, 0, 1, 1, 2, 3, 3]])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        simulate(DIST, rule, 1.0, 0, 100, 4, 1, grid=np.array([50, 10]))
 
 
 def test_run_experiment_aggregates():

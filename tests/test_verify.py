@@ -1,5 +1,6 @@
 """Tests for the runtime checking suite."""
 
+import csv
 import io
 import math
 
@@ -211,5 +212,15 @@ def test_write_reports_csv_shape():
     buf = io.StringIO()
     write_reports(buf, [rep])
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "name,n_samples,empirical,reference,std_error,pass,slack"
-    assert lines[1].startswith("demo,10,0.5,1.0,0.1,true,")
+    assert lines[0] == "name,n_samples,empirical,reference,std_error,pass,slack,vacuous,detail"
+    assert lines[1] == "demo,10,0.5,1.0,0.1,true,0.0,false,"
+
+
+def test_write_reports_round_trips_a_detail_with_commas():
+    detail = "unit norm at step n=3 trial=1: V=[0.6, 0.8] {'norm': 1.5}"
+    rep = CheckReport("pathwise_oja", 40, 1.0, 0.0, 0.0, False, 1e-12, False, detail)
+    buf = io.StringIO()
+    write_reports(buf, [rep])
+    header, row = csv.reader(io.StringIO(buf.getvalue()))
+    assert row == rep.csv_row()
+    assert dict(zip(header, row))["detail"] == detail

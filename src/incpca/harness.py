@@ -185,6 +185,7 @@ def _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid):
         m = min(CHUNK, horizon - n)
         coords = np.empty((T, m), dtype=np.intp)
         for row, rng in enumerate(rngs):
+            # the unused signs are still drawn, so the stream advances as in sample_block
             coords[row] = dist.draw_support(rng, m)[0]
         steps = np.arange(n + 1, n + m + 1)
         gamma = c / steps

@@ -71,7 +71,7 @@ def test_trial_rows_independent_of_batch_composition():
     horizon=st.sampled_from([1, 300, CHUNK + 150]),
     track_max=st.booleans(),
 )
-@settings(max_examples=16, deadline=None)
+@settings(max_examples=24, deadline=None)
 def test_any_trial_subset_reproduces_its_rows(data, rule, gaussian, n_o, horizon, track_max):
     # oja on coordinate data without track_max runs the closed-form engine
     dist = GAUSS if gaussian else DIST

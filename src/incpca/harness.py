@@ -4,10 +4,12 @@
 draws the samples, applies gamma_n = c/n, calls the `estimators` kernels
 and renormalizes.  `verify.check_pathwise` and `simulate` are loops over
 it, except that `simulate` runs Oja on `CoordinateDistribution` data
-without `track_max` through `_oja_coordinate_psi`: from the same draws it
-evaluates the recurrence in closed form (each step scales one
-coordinate), and agrees with `trajectories` to rounding.  Krasulina,
-Gaussian data and `track_max` runs take `trajectories`.  Trials are
+without `track_max` through `_oja_coordinate_states`: from the same draws
+it evaluates the recurrence in closed form at the grid points (each step
+scales one coordinate), and agrees with `trajectories` to rounding.
+Krasulina, Gaussian data and `track_max` runs take `trajectories`.  Either
+engine feeds one recording loop in `simulate`, which scores the states
+with `linalg.potential`, the package's one potential.  Trials are
 advanced in lockstep as rows of a (trials, d) array, which keeps the
 per-step cost at a handful of vectorized operations.  Each trial still
 draws from its own counter-based stream, so any trial's trajectory is a
@@ -17,13 +19,14 @@ trial runs alone or inside a batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import estimators
+from . import estimators, linalg
 from .distributions import CoordinateDistribution, trial_rng
 from .estimators import KRASULINA, OJA, RENORM_THRESHOLD, InitError
 
@@ -46,6 +49,7 @@ __all__ = [
 # steps per sampling chunk; fixed so that chunk boundaries (and hence each
 # trial's draw sequence) never depend on runtime conditions
 CHUNK = 2048
+ROWS = 4096  # (step, trial) rows per call of the potential and pathwise checks
 
 
 @dataclass(frozen=True)
@@ -154,14 +158,8 @@ def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
                 V[big] /= norms[big, None]
 
 
-def _psi_rows(V, v_star):
-    dots = V @ v_star
-    nsq = np.einsum("ij,ij->i", V, V)
-    return np.clip(1.0 - dots * dots / nsq, 0.0, 1.0)
-
-
-def _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid):
-    """Oja's potential at the nondecreasing `grid`, in closed form.
+def _oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid):
+    """Oja's states at the distinct points of `grid` past n_o, in closed form.
 
     Every sample of `dist` is +-s e_k, so an Oja step only scales
     coordinate k by 1 + gamma_n s^2 before the (scale-free) normalization:
@@ -170,16 +168,16 @@ def _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid):
     support from its own stream in the same CHUNK-sized blocks as
     `trajectories`, so it sees the same samples.  Per chunk, one bincount
     sums the logs per (trial, grid segment, coordinate) and a cumsum over
-    segments gives L at every grid point in the chunk.  All arithmetic is
-    row-local, so a row does not depend on the other rows of the batch.
+    segments gives L at every grid point in the chunk.  Yields (n, W) at
+    each point n > n_o, where the rows of W are the magnitudes
+    exp(L - max L); with v* = e_1 they have the states' potential.  All
+    arithmetic is row-local, so a row does not depend on the other rows
+    of the batch.
     """
     T, d = V.shape
-    points, columns = np.unique(grid, return_inverse=True)
-    psi = np.empty((T, points.size))
+    points = np.unique(grid[grid > n_o])
     with np.errstate(divide="ignore"):
         logw = np.log(np.abs(V))  # log |state|, -inf on zero coordinates
-    gi = int(np.searchsorted(points, n_o, side="right"))
-    psi[:, :gi] = _off_axis_share(logw)[:, None]
     n = n_o
     while n < horizon:
         m = min(CHUNK, horizon - n)
@@ -191,7 +189,7 @@ def _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid):
         gamma = c / steps
         logs = np.where(coords == 0, np.log1p(gamma), np.log1p(gamma * dist.sigma**2))
         # step n belongs to the segment ending at the first grid point >= n
-        seg = np.searchsorted(points, steps) - gi
+        seg = np.searchsorted(points, steps)
         nseg = int(seg[-1]) + 1
         bins = (np.arange(T)[:, None] * nseg + seg) * d + coords
         sums = np.bincount(bins.ravel(), weights=logs.ravel(), minlength=T * nseg * d)
@@ -199,22 +197,12 @@ def _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid):
         del coords, logs, bins
         cum = logw[:, None, :] + np.cumsum(sums.reshape(T, nseg, d), axis=1)
         n += m
-        done = int(np.searchsorted(points, n, side="right")) - gi
-        psi[:, gi : gi + done] = _off_axis_share(cum[:, :done])
-        gi += done
+        done = int(np.searchsorted(points, n, side="right"))
+        for j in range(done):
+            L = cum[:, j]
+            yield int(points[j]), np.exp(L - L.max(axis=1, keepdims=True))
+        points = points[done:]
         logw = cum[:, -1]
-    return psi[:, columns]
-
-
-def _off_axis_share(logw):
-    """Potential of states with log-magnitudes logw (last axis), v* = e_1.
-
-    The off-axis share of the squared norm, |v - (v.v*) v*|^2 / |v|^2, is
-    accurate at small values, unlike 1 - (v.v*)^2 / |v|^2.
-    """
-    w2 = np.exp(2.0 * (logw - logw.max(axis=-1, keepdims=True)))
-    off = w2[..., 1:].sum(axis=-1)
-    return off / (w2[..., 0] + off)
 
 
 def simulate(
@@ -227,51 +215,57 @@ def simulate(
     master_seed: int,
     init_mode: str = "random_unit",
     init_k: int | None = None,
-    grid: np.ndarray | None = None,
+    grid=None,
     track_max: bool = False,
     trial_ids=None,
 ) -> SimResult:
     """Run `trials` lockstep trajectories from n_o to horizon.
 
     Records the potential at the requested nondecreasing grid of step
-    counts (every copy of a repeated point; always including the final
-    step) and, optionally, its running maximum; the potential is evaluated
-    only at those steps.  Oja on coordinate data without track_max runs in
-    closed form (`_oja_coordinate_psi`), everything else on `trajectories`.
+    counts (any sequence; every copy of a repeated point; always including
+    the final step) and, optionally, its running maximum.  Oja on
+    coordinate data without track_max runs in closed form
+    (`_oja_coordinate_states`), everything else on `trajectories`; the
+    potential is evaluated on about ROWS (step, trial) rows per call.
     """
-    v_star = dist.ground_truth().v_star
+    if c <= 0:
+        raise ValueError("c must be positive")
     if trial_ids is None:
         trial_ids = list(range(trials))
-    if grid is None:
-        grid = log_grid(n_o, horizon, 200)
+    if len(trial_ids) == 0:
+        raise ValueError("need at least one trial")
+    grid = log_grid(n_o, horizon, 200) if grid is None else np.asarray(grid)
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be nondecreasing")
     grid = grid[(grid >= n_o) & (grid <= horizon)]
     if grid.size == 0 or grid[-1] != horizon:
         grid = np.append(grid, horizon)
+    # the state recorded for each grid point; a horizon below n_o reads n_o
+    read_at = np.maximum(grid, n_o).tolist()
+    recorded = dict.fromkeys(read_at)
 
+    v_star = dist.ground_truth().v_star
     V, failed, rngs = init_states(dist, rule, init_mode, init_k, master_seed, trial_ids)
     if rule == OJA and isinstance(dist, CoordinateDistribution) and not track_max:
-        psi = _oja_coordinate_psi(dist, c, n_o, horizon, V, rngs, grid)
-        return SimResult(grid=grid, psi=psi, failed=failed)
-    psi_out = np.empty((len(trial_ids), grid.size))
-    gi = 0
-    psi = _psi_rows(V, v_star)
-    max_psi = psi.copy() if track_max else None
-    while gi < grid.size and grid[gi] <= n_o:
-        psi_out[:, gi] = psi
-        gi += 1
-
-    for n, _, _, _, V in trajectories(dist, rule, c, n_o, horizon, V, rngs):
-        on_grid = gi < grid.size and n == grid[gi]
-        if track_max or on_grid:
-            psi = _psi_rows(V, v_star)
+        steps = _oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid)
+    else:
+        steps = ((n, V) for n, _, _, _, V in trajectories(dist, rule, c, n_o, horizon, V, rngs))
+    max_psi = np.zeros(len(trial_ids)) if track_max else None
+    per_call = max(1, ROWS // len(trial_ids))
+    ns, states = [], []
+    for n, V in itertools.chain([(n_o, V)], steps):
+        if not (track_max or n in recorded):
+            continue
+        ns.append(n)
+        states.append(V)
+        if len(ns) == per_call or n == read_at[-1]:
+            rows = linalg.potential(np.stack(states), v_star)  # (steps, trials)
             if track_max:
-                np.maximum(max_psi, psi, out=max_psi)
-            while gi < grid.size and grid[gi] == n:
-                psi_out[:, gi] = psi
-                gi += 1
-    return SimResult(grid=grid, psi=psi_out, failed=failed, max_psi=max_psi)
+                np.maximum(max_psi, rows.max(axis=0), out=max_psi)
+            recorded.update((m, row) for m, row in zip(ns, rows) if m in recorded)
+            ns, states = [], []
+    psi = np.stack([recorded[n] for n in read_at], axis=1)
+    return SimResult(grid=grid, psi=psi, failed=failed, max_psi=max_psi)
 
 
 @dataclass(frozen=True)

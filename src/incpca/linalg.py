@@ -74,21 +74,28 @@ def rayleigh_gradient(A, v) -> np.ndarray:
     return (2.0 / nsq) * (Av - g * v)
 
 
-def potential(v, v_star) -> float:
-    """Misalignment of v with the unit target: 1 - (v.v*)^2 / |v|^2.
+def potential(V, v_star):
+    """Misalignment with the unit target: |V - (V.v*) v*|^2 / |V|^2.
 
-    Lies in [0, 1]; invariant to rescaling v and to the sign of v_star.
+    V is one state (d,) or a stack (..., d); returns a float or an array of
+    shape V.shape[:-1], in [0, 1].  Unlike 1 - (V.v*)^2 / |V|^2 it stays
+    accurate at small values.  Every product is an einsum over the last
+    axis, so a row gives the same bits alone or inside any stack.
     """
-    v = _as_vector(v)
+    V = np.asarray(V, dtype=float)
     v_star = _as_vector(v_star)
-    nsq = float(v @ v)
-    if nsq == 0.0:
-        raise ValueError("potential undefined for the zero vector")
-    if abs(float(v_star @ v_star) - 1.0) > 1e-10:
+    if not np.all(np.isfinite(V)):
+        raise ValueError("state has non-finite entries")
+    if abs(float(np.einsum("i,i->", v_star, v_star)) - 1.0) > 1e-10:
         raise ValueError("v_star must be a unit vector")
-    val = 1.0 - (float(v @ v_star) ** 2) / nsq
-    # clip float noise at the boundary
-    return min(1.0, max(0.0, val))
+    nsq = np.einsum("...i,...i->...", V, V)
+    if np.any(nsq == 0.0):
+        raise ValueError("potential undefined for the zero vector")
+    # V - (V.v*) v* in one buffer: a stack's temporaries are large
+    off = np.einsum("...,i->...i", np.einsum("...i,i->...", V, v_star), v_star)
+    np.subtract(V, off, out=off)
+    val = np.minimum(np.einsum("...i,...i->...", off, off) / nsq, 1.0)
+    return float(val) if V.ndim == 1 else val
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

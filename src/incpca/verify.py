@@ -35,9 +35,6 @@ __all__ = [
 ]
 
 _BLOCK = 100_000  # sample block size for the Monte Carlo loops
-# check_pathwise evaluates its invariants on about this many (step, trial)
-# rows at once: one numpy call per invariant per batch, not per step
-_CHECK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def _pathwise_violations(rule, v_star, B, trials, batch):
             first.append((bad[0], kind, quantities))
 
     nsq = np.einsum("ij,ij->i", V, V)
-    psi = harness._psi_rows(V, v_star)
+    psi = linalg.potential(V, v_star)
     dot = np.einsum("ij,ij->i", V, x)
     xi = estimators.xi(V, x)
     xi_nsq = np.einsum("ij,ij->i", xi, xi)
@@ -181,7 +178,7 @@ def _pathwise_violations(rule, v_star, B, trials, batch):
 
     nsq_new = np.einsum("ij,ij->i", V_new, V_new)
     norm_new = np.sqrt(nsq_new)
-    psi_new = harness._psi_rows(V_new, v_star)
+    psi_new = linalg.potential(V_new, v_star)
     flag(
         "potential inequality",
         psi_new > psi + beta - Z + 1e-12 * np.maximum(1.0, psi),
@@ -251,6 +248,8 @@ def check_pathwise(
     the orthogonal-input no-op, and span containment.  empirical is the
     violation count; the first offending step is serialized in detail.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     gt = dist.ground_truth()
     v_star, B = gt.v_star, dist.B
     V, failed, rngs = harness.init_states(
@@ -260,7 +259,7 @@ def check_pathwise(
         raise InitError(f"trial {int(np.flatnonzero(failed)[0])}: zero initial vector")
 
     violations, detail = 0, ""
-    batch_steps = max(1, _CHECK_ROWS // trials)
+    batch_steps = max(1, harness.ROWS // trials)
     batch = []
     for step in harness.trajectories(dist, rule, c, 0, steps, V, rngs):
         batch.append(step)

@@ -154,6 +154,24 @@ def test_run_input_errors_are_one_line(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--c", "-1", "--horizon", "100", "--trials", "2"], "c must be positive"),
+        (["counterexample", "--trials", "0", "--horizon", "100"], "need at least one trial"),
+        (
+            ["verify", "--trials", "0", "--samples", "100", "--steps", "10"],
+            "need at least one trial",
+        ),
+    ],
+)
+def test_nonpositive_rate_or_trial_count_is_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"incpca: error: {message}\n"
+    assert not out.exists()
+
+
 def test_slope_reads_back_gaussian_run(tmp_path, capsys):
     out = tmp_path / "gauss.csv"
     eigenvalues = ",".join(repr(1.0 / k) for k in range(1, 13))

@@ -83,6 +83,44 @@ def test_potential_basic_values():
 def test_potential_requires_unit_reference():
     with pytest.raises(ValueError):
         potential(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+    with pytest.raises(ValueError):
+        potential(np.array([1.0, 0.0]), np.array([np.nan, 0.0]))
+
+
+def test_potential_is_accurate_at_small_values():
+    # 1 - (v.v*)^2/|v|^2 cancels to 0 here
+    assert potential(np.array([1.0, 1e-9, 0.0]), np.array([1.0, 0.0, 0.0])) == pytest.approx(
+        1e-18, rel=1e-12, abs=0.0
+    )
+    theta = 1e-8
+    for phi in (0.3, 1.1, 2.5):
+        vstar = np.array([np.cos(phi), np.sin(phi)])
+        v = 3.0 * np.array([np.cos(phi + theta), np.sin(phi + theta)])
+        assert potential(v, vstar) == pytest.approx(np.sin(theta) ** 2, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 20])
+def test_potential_of_a_stack_is_its_rows_bitwise(d):
+    rng = np.random.default_rng(d)
+    vstar = rng.standard_normal(d)
+    vstar /= np.linalg.norm(vstar)
+    V = rng.standard_normal((4, 37, d)) * np.exp(rng.uniform(-20, 20, (4, 37, 1)))
+    V[0, 0] = 2.5 * vstar  # potential 0 up to rounding
+    out = potential(V, vstar)
+    assert out.shape == (4, 37)
+    rows = [[potential(v, vstar) for v in block] for block in V]
+    assert np.array_equal(out, np.array(rows))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_potential_rejects_a_zero_or_nonfinite_row(bad):
+    V = np.ones((3, 4))
+    V[1] = 0.0 if bad == 0.0 else [1.0, bad, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        potential(V, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        potential(V[1], np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -23,10 +23,12 @@ from incpca.harness import (
 
 DIST = CoordinateDistribution(p=0.3, sigma=0.5, d=4)
 GAUSS = GaussianSpectrum(eigenvalues=np.array([1.0, 0.5, 0.25]))
-# a v* off every axis, where a BLAS matrix-vector product would round a row
+# v* off every axis, where a BLAS matrix-vector product would round a row
 # differently depending on the rows beside it
-_Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))
-ROTATED = GaussianSpectrum(eigenvalues=np.array([1.0, 0.5, 0.25]), rotation=_Q)
+ROTATED = GaussianSpectrum(
+    eigenvalues=np.array([1.0, 0.5, 0.25]),
+    rotation=np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0],
+)
 
 
 def test_log_grid_properties():

@@ -3,7 +3,8 @@
 The scalar API (`krasulina_step`, `oja_step`, `block_oja_step`) mirrors the
 update equations one state at a time.  The `*_update` kernels are the same
 arithmetic broadcast over a batch of independent trials, which is how the
-experiment harness and the Monte Carlo checks drive them.
+experiment harness and the Monte Carlo checks drive them; the block rule
+applies Oja's arithmetic likewise to the p rows of its transposed frame.
 
 Krasulina's rule never normalizes, and the iterate norm is nondecreasing;
 to keep long runs clear of overflow, the state is renormalized to unit
@@ -108,11 +109,14 @@ def xi(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def z_increment(v, x, gamma, v_star):
     """Martingale decrease term: 2 gamma (v.v*) (xi.v*) / |v|^2, rows like xi.
 
-    gamma may be a scalar or one value per row.
+    gamma may be a scalar or one value per row.  Every product is an einsum
+    over the last axis, so a row gives the same bits alone or in a batch.
     """
     v = np.asarray(v, dtype=float)
     nsq = np.einsum("...i,...i->...", v, v)
-    return 2.0 * gamma * (v @ v_star) * (xi(v, x) @ v_star) / nsq
+    v_dot = np.einsum("...i,i->...", v, v_star)
+    xi_dot = np.einsum("...i,i->...", xi(v, x), v_star)
+    return 2.0 * gamma * v_dot * xi_dot / nsq
 
 
 def krasulina_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
@@ -169,52 +173,48 @@ class BlockState:
             raise ValueError("columns must be orthonormal")
 
 
-def _mgs(columns, rng: np.random.Generator):
-    """Modified Gram-Schmidt over a list of 1-d columns, order preserved.
+def _mgs(W: np.ndarray, rng: np.random.Generator) -> int:
+    """Modified Gram-Schmidt in place on the rows of W, order preserved.
 
-    A column whose residual collapses below 1e-12 is replaced by a random
-    unit vector orthogonal to the columns already accepted; returns the
-    orthonormal columns and the number of such replacements.
+    Right-looking: once row j is normalized, its projection leaves every
+    later row in one matrix-vector product.  A row whose residual collapses
+    below 1e-12 is replaced by a random unit vector orthogonal to the rows
+    already accepted; returns the number of such replacements.
     """
-    d = columns[0].size
-    out: list[np.ndarray] = []
+    p, d = W.shape
     collapses = 0
-    for w in columns:
-        for q in out:
-            w = w - np.einsum("i,i->", q, w) * q
+    for j in range(p):
+        w = W[j]
         norm = float(np.sqrt(np.einsum("i,i->", w, w)))
         if norm < 1e-12:
             collapses += 1
             while True:
                 w = random_unit_vector(d, rng)
-                for q in out:
+                for q in W[:j]:
                     w = w - np.einsum("i,i->", q, w) * q
                 norm = float(np.sqrt(np.einsum("i,i->", w, w)))
                 if norm >= 1e-6:
                     break
-        out.append(w / norm)
-    return out, collapses
+        w = np.divide(w, norm, out=W[j])
+        rest = W[j + 1 :]
+        rest -= (rest @ w)[:, None] * w
+    return collapses
 
 
 def block_oja_step(bstate: BlockState, x) -> BlockState:
     """Rank-one growth of the frame, then modified Gram-Schmidt.
 
-    The per-column arithmetic is kept op-for-op identical to oja_update so
-    that p = 1 trajectories reproduce oja_step bit-for-bit.
+    Both run in place on the rows of V' (p x d), copied from the input's V
+    by the growth; the growth and each row's norm are oja_update's
+    arithmetic, so p = 1 trajectories reproduce oja_step bit-for-bit.
     """
     x = np.asarray(x, dtype=float)
     n = bstate.n + 1
-    gamma = bstate.lr.gamma(n)
-    V = bstate.V
-    p = V.shape[1]
-    grown = []
-    for j in range(p):
-        col = np.ascontiguousarray(V[:, j])
-        dot = np.einsum("i,i->", col, x)
-        grown.append(col + (gamma * dot) * x)
-    cols, collapses = _mgs(grown, bstate._rng)
+    Vt = bstate.V.T
+    W = Vt + (bstate.lr.gamma(n) * np.einsum("...i,...i->...", Vt, x))[..., None] * x
+    collapses = _mgs(W, bstate._rng)
     return BlockState(
-        V=np.column_stack(cols),
+        V=W.T,
         n=n,
         lr=bstate.lr,
         collapse_events=bstate.collapse_events + collapses,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incpca.distributions import CoordinateDistribution
+from incpca.distributions import CoordinateDistribution, trial_rng
 from incpca.estimators import (
     KRASULINA,
     OJA,
@@ -92,6 +92,21 @@ def test_z_increment_matches_definition():
     gamma = 0.3
     expect = 2.0 * gamma * (v @ vstar) * (xi(v, x) @ vstar) / (v @ v)
     assert z_increment(v, x, gamma, vstar) == pytest.approx(expect, rel=1e-12)
+
+
+def test_z_increment_rows_do_not_depend_on_the_batch():
+    # a rotated v* makes every product inexact, so a BLAS product over the
+    # batch would round some rows differently from single-row calls
+    rng = np.random.default_rng(37)
+    v_star = np.linalg.qr(rng.standard_normal((5, 5)))[0][:, 0]
+    V = rng.standard_normal((64, 5))
+    X = rng.standard_normal((64, 5))
+    gamma = rng.uniform(0.01, 1.0, 64)
+    batch = z_increment(V, X, gamma, v_star)
+    block = z_increment(V[0], X, 0.3, v_star)
+    for i in range(64):
+        assert batch[i] == z_increment(V[i], X[i], gamma[i], v_star)
+        assert block[i] == z_increment(V[0], X[i], 0.3, v_star)
 
 
 def test_batched_updates_match_loop():
@@ -202,13 +217,45 @@ class TestBlockOja:
             state = oja_step(state, x)
             assert np.array_equal(bstate.V[:, 0], state.V)
 
+    def test_matches_qr_reference_on_ac10_data(self):
+        # Gram-Schmidt of the grown frame is its QR factor with R's diagonal > 0
+        rng = np.random.default_rng(42)
+        V = np.linalg.qr(rng.standard_normal((20, 3)))[0]
+        bstate = BlockState(V=V, n=0, lr=LearningRate(c=1.0, n_o=0))
+        dist = CoordinateDistribution(p=0.3, sigma=0.5, d=20)
+        data_rng = trial_rng(42, 0)
+        worst = 0.0
+        for n in range(1, 5001):
+            x = dist.sample(data_rng)
+            bstate = block_oja_step(bstate, x)
+            Q, R = np.linalg.qr(V + (1.0 / n) * np.outer(x, x @ V))
+            V = Q * np.sign(np.diag(R))
+            worst = max(worst, np.abs(bstate.V - V).max())
+        assert worst <= 1e-9
+
+    def test_input_frame_is_never_written(self):
+        rng = np.random.default_rng(47)
+        bstate = BlockState(
+            V=np.linalg.qr(rng.standard_normal((6, 3)))[0],
+            n=0,
+            lr=LearningRate(c=1.0, n_o=0),
+        )
+        for x in rng.standard_normal((20, 6)):
+            kept = bstate.V.copy()
+            bstate.V.flags.writeable = False  # a write into it would raise
+            nxt = block_oja_step(bstate, x)
+            assert np.array_equal(bstate.V, kept)
+            assert not np.shares_memory(nxt.V, bstate.V)
+            bstate = nxt
+
     def test_collapse_is_repaired_and_counted(self):
         from incpca.estimators import _mgs
 
         e1 = np.array([1.0, 0.0, 0.0])
-        cols, collapses = _mgs([e1, 1.5 * e1], np.random.default_rng(7))
+        W = np.array([e1, 1.5 * e1])
+        collapses = _mgs(W, np.random.default_rng(7))
         assert collapses == 1
-        V = np.column_stack(cols)
+        V = W.T
         assert np.abs(V.T @ V - np.eye(2)).max() <= 1e-10
 
 

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from incpca import estimators
+from incpca import estimators, harness, linalg
 from incpca.distributions import CoordinateDistribution
+from incpca.harness import CHUNK
 from incpca.linalg import potential
 from incpca.estimators import InitError, krasulina_update, xi, z_increment
 from incpca.theory import beta_step
@@ -109,6 +110,47 @@ def test_pathwise_reports_first_offending_step_of_the_kernel(
     assert rep.detail.startswith(expected + ": V=[")
 
 
+@pytest.mark.parametrize(
+    "rule, kind", [("krasulina", "norm monotonicity"), ("oja", "unit norm")]
+)
+def test_pathwise_report_does_not_depend_on_the_batch_size(monkeypatch, rule, kind):
+    # with threshold 1 every Krasulina row is renormalized into a new array
+    # at the end of the first chunk, so the next step's V_prev is scored afresh
+    monkeypatch.setattr(harness, "RENORM_THRESHOLD", 1.0)
+    name = f"{rule}_update"
+    true_update = getattr(estimators, name)
+    calls = 0
+
+    def shrinks_trial_2_once(V, x, gamma):
+        nonlocal calls
+        calls += 1
+        out = true_update(V, x, gamma)
+        if calls == 2100:
+            out[2] *= 0.5
+        return out
+
+    true_potential = linalg.potential
+    scored = 0
+
+    def counted_potential(V, v_star):
+        nonlocal scored
+        scored += np.asarray(V).size // np.shape(V)[-1]
+        return true_potential(V, v_star)
+
+    monkeypatch.setattr(estimators, name, shrinks_trial_2_once)
+    monkeypatch.setattr(linalg, "potential", counted_potential)
+    steps, trials = CHUNK + 200, 3
+    fresh = 2 if rule == "krasulina" else 1  # the initial states, the renormalized
+    reports = []
+    for rows in (harness.ROWS, 1):
+        monkeypatch.setattr(harness, "ROWS", rows)
+        calls = scored = 0
+        reports.append(check_pathwise(DIST, rule, steps, trials, master_seed=4))
+        assert scored == trials * (steps + fresh)
+    assert reports[0] == reports[1]
+    assert reports[0].detail.startswith(f"{kind} at step n=2100 trial=2: V=[")
+
+
 def test_expectation_checks_move_only_in_the_last_digits():
     # the samples now go through estimators.xi / estimators.z_increment,
     # whose dot products and operation order differ from the former
@@ -187,16 +229,24 @@ def test_gradient_check_small_matrix():
 
 
 def test_always_good_quick_run():
-    rep = check_always_good(
-        CoordinateDistribution(p=0.2, sigma=0.5, d=3),
-        c=1.0,
-        eps=0.05,
-        horizon=2000,
-        trials=50,
-        master_seed=6,
-    )
-    assert rep.passed
-    assert rep.reference == pytest.approx(0.5213714442179439, rel=1e-12)
+    # n_o = ceil(2 B^2 c^2 d^2 / eps^2) = 7200 here
+    reports = [
+        check_always_good(
+            CoordinateDistribution(p=0.2, sigma=0.5, d=3),
+            c=1.0,
+            eps=0.05,
+            horizon=horizon,
+            trials=50,
+            master_seed=6,
+        )
+        for horizon in (2000, 9200)
+    ]
+    for rep in reports:
+        assert rep.passed
+        assert rep.reference == pytest.approx(0.5213714442179439, rel=1e-12)
+    assert reports[0].vacuous
+    assert reports[0].detail == "no step runs: horizon 2000 <= n_o 7200"
+    assert not reports[1].vacuous and reports[1].detail == ""
 
 
 def test_write_reports_csv_shape():

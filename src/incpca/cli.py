@@ -31,7 +31,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}: line {lineno}: expected key=value")
+                raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, val = line.split("=", 1)
             out[key.strip().replace("-", "_")] = val.strip()
     return out
@@ -290,7 +290,8 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, argv)
         return handler(args)
-    except ValueError as exc:  # bad input, including estimators.InitError
+    # bad input (including estimators.InitError) and unreadable or unwritable files
+    except (ValueError, OSError) as exc:
         print(f"incpca: error: {exc}", file=sys.stderr)
         return 2
 

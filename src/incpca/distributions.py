@@ -106,13 +106,15 @@ class CoordinateDistribution:
         v[0] = 1.0
         return GroundTruth(v_star=v, lambda1=self.p, lambda2=self.lambda2, B=1.0)
 
-    def sample_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """(m, d) block of i.i.d. draws."""
+    def sample_block(self, rng: np.random.Generator, m: int, out=None) -> np.ndarray:
+        """(m, d) block of i.i.d. draws, written into `out` when given."""
         coords, signs = self.draw_support(rng, m)
-        x = np.zeros((m, self.d))
-        val = np.where(coords == 0, 1.0, self.sigma) * signs
-        x[np.arange(m), coords] = val
-        return x
+        if out is None:
+            out = np.zeros((m, self.d))
+        else:
+            out[...] = 0.0
+        out[np.arange(m), coords] = np.where(coords == 0, 1.0, self.sigma) * signs
+        return out
 
     def draw_support(self, rng: np.random.Generator, m: int):
         """Compact draw of m samples: coordinate indices (0-based) and signs.
@@ -190,22 +192,30 @@ class GaussianSpectrum:
             B=self.B,
         )
 
-    def sample_block(self, rng, m, return_rejections: bool = False):
+    def sample_block(self, rng, m, return_rejections: bool = False, out=None):
+        """(m, d) block of i.i.d. draws, written into `out` when given.
+
+        `out` must be a C- or Fortran-contiguous float64 array of shape
+        (m, d); the draws and their order are the same either way.
+        """
         scale = np.sqrt(self.eigenvalues)
-        x = rng.standard_normal((m, self.d)) * scale
+        if out is None:
+            out = np.empty((m, self.d))
+        rng.standard_normal((m, self.d), out=out)
+        out *= scale
         rejected = 0
         while True:
-            bad = np.einsum("ij,ij->i", x, x) > self.clip_radius
+            bad = np.einsum("ij,ij->i", out, out) > self.clip_radius
             nbad = int(bad.sum())
             if nbad == 0:
                 break
             rejected += nbad
-            x[bad] = rng.standard_normal((nbad, self.d)) * scale
+            out[bad] = rng.standard_normal((nbad, self.d)) * scale
         if self.rotation is not None:
-            x = x @ self.rotation.T
+            out[...] = out @ self.rotation.T
         if return_rejections:
-            return x, rejected
-        return x
+            return out, rejected
+        return out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_block(rng, 1)[0]

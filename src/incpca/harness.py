@@ -14,7 +14,9 @@ advanced in lockstep as rows of a (trials, d) array, which keeps the
 per-step cost at a handful of vectorized operations.  Each trial still
 draws from its own counter-based stream, so any trial's trajectory is a
 pure function of (master_seed, trial_id) and is identical whether the
-trial runs alone or inside a batch.
+trial runs alone or inside a batch.  A Gaussian chunk is filled on every
+CPU the process may use (`_draw_rows`); a trial's stream is read by one
+thread only, so its draws are identical whichever thread makes them.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import estimators, linalg
-from .distributions import CoordinateDistribution, trial_rng
+from .distributions import CoordinateDistribution, GaussianSpectrum, trial_rng
 from .estimators import KRASULINA, OJA, RENORM_THRESHOLD, InitError
 
 __all__ = [
@@ -50,6 +53,8 @@ __all__ = [
 # trial's draw sequence) never depend on runtime conditions
 CHUNK = 2048
 ROWS = 4096  # (step, trial) rows per call of the potential and pathwise checks
+# CPUs this process may run on: the threads that fill a Gaussian chunk
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,35 @@ def init_states(dist, rule, init_mode, init_k, master_seed, trial_ids):
     return V, failed, rngs
 
 
+def _draw_rows(X, dist, rngs, m, workers):
+    """Fill row r of the (T, m, d) chunk X with m draws from rngs[r].
+
+    The rows are cut into `workers` contiguous parts: worker threads fill
+    parts 2..k while the calling thread fills part 1.  A row reads only its
+    own generator, and no generator is used by two threads, so the chunk
+    is bitwise the same for any `workers`.  A part's exception is raised
+    after every part has finished.
+    """
+
+    def fill(rows):
+        for row in rows:
+            dist.sample_block(rngs[row], m, out=X[row])
+
+    T = len(rngs)
+    workers = min(workers, T)
+    cuts = [T * k // workers for k in range(workers + 1)]
+    parts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    if workers == 1:
+        fill(parts[0])
+        return
+    # leaving the block waits for every worker, also when a part raised
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(fill, part) for part in parts[1:]]
+        fill(parts[0])
+        for future in futures:
+            future.result()
+
+
 def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
     """The update recurrence for the rows of V, one trial per row, in lockstep.
 
@@ -131,16 +165,18 @@ def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
     step n uses gamma_n = c/n.  Yields (n, gamma, x, V_prev, V) after each
     step n = n_o+1 .. horizon, where x holds the rows' samples.  Yielded
     arrays are never written to afterwards: a Krasulina renormalization
-    (at the end of a chunk) replaces the state with a new array.
+    (at the end of a chunk) replaces the state with a new array.  Gaussian
+    chunks are drawn on CPUS threads; a coordinate row is a few GIL-bound
+    numpy calls, which gain nothing from a split, so those stay on one.
     """
     update = estimators.krasulina_update if rule == KRASULINA else estimators.oja_update
+    workers = CPUS if isinstance(dist, GaussianSpectrum) else 1
     T, d = V.shape
     n = n_o
     while n < horizon:
         m = min(CHUNK, horizon - n)
         X = np.empty((T, m, d))
-        for row, rng in enumerate(rngs):
-            X[row] = dist.sample_block(rng, m)
+        _draw_rows(X, dist, rngs, m, workers)
         for i in range(m):
             n += 1
             gamma = c / n
@@ -230,6 +266,8 @@ def simulate(
     """
     if c <= 0:
         raise ValueError("c must be positive")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if trial_ids is None:
         trial_ids = list(range(trials))
     if len(trial_ids) == 0:

@@ -73,12 +73,19 @@ def write_reports(fh, reports) -> None:
     out.writerows(rep.csv_row() for rep in reports)
 
 
+def _require_samples(n_samples: int) -> None:
+    # a standard error needs two samples; with fewer a check tests nothing
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+
+
 def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     """E[xi | v] against A v - G(v) v, per coordinate.
 
     empirical is the worst per-coordinate z-score; the check passes when it
     stays within 3.
     """
+    _require_samples(n_samples)
     v = np.asarray(v, dtype=float)
     A = dist.covariance()
     ref = A @ v - linalg.rayleigh_quotient(A, v) * v
@@ -107,6 +114,7 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     Also audits the closed form against its lower bound
     2 gamma (lambda1-lambda2) Psi (1-Psi).
     """
+    _require_samples(n_samples)
     v = np.asarray(v, dtype=float)
     gt = dist.ground_truth()
     A = dist.covariance()
@@ -258,6 +266,8 @@ def check_pathwise(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if steps < 1:
+        raise ValueError("need at least one step")
     gt = dist.ground_truth()
     v_star, B = gt.v_star, dist.B
     V, failed, rngs = harness.init_states(
@@ -292,6 +302,7 @@ def check_pathwise(
 
 def check_mgf(d: int, t: float, n_samples: int, rng) -> CheckReport:
     """Empirical E[e^{tY}] for Y = 1 - V_1^2 on the sphere, vs the bound."""
+    _require_samples(n_samples)
     bound = theory.mgf_bound(d, t)
     total, total_sq, seen = 0.0, 0.0, 0
     while seen < n_samples:

@@ -163,6 +163,13 @@ def test_run_input_errors_are_one_line(tmp_path, capsys, flags, message):
             ["verify", "--trials", "0", "--samples", "100", "--steps", "10"],
             "need at least one trial",
         ),
+        (["verify", "--samples", "0", "--steps", "10"], "need at least 2 samples"),
+        (["verify", "--samples", "1", "--steps", "10"], "need at least 2 samples"),
+        (
+            ["verify", "--samples", "100", "--steps", "0", "--trials", "2"],
+            "need at least one step",
+        ),
+        (["counterexample", "--trials", "10", "--horizon", "0"], "horizon must be at least 1"),
     ],
 )
 def test_nonpositive_rate_or_trial_count_is_one_line(tmp_path, capsys, argv, message):
@@ -191,3 +198,30 @@ def test_slope_reads_back_gaussian_run(tmp_path, capsys):
     rc = main(["slope", "--input", str(out), "--n-min", "300", "--n-max", "3000"])
     assert rc == 0
     assert "slope=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["slope", "--input", "{tmp}/missing.csv", "--n-min", "1", "--n-max", "2"],
+            "No such file or directory: '{tmp}/missing.csv'",
+        ),
+        (
+            ["run", "--config", "{tmp}/missing.cfg"],
+            "No such file or directory: '{tmp}/missing.cfg'",
+        ),
+        (
+            ["run", "--c", "1", "--horizon", "10", "--trials", "1", "--out", "{tmp}/no/dir/x.csv"],
+            "No such file or directory: '{tmp}/no/dir/x.csv'",
+        ),
+        (["run", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg: line 2: expected key=value"),
+    ],
+    ids=["slope-input", "config", "out-dir", "config-line"],
+)
+def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
+    (tmp_path / "bad.cfg").write_text("c = 1\nhorizon 100\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("incpca: error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert message.format(tmp=tmp_path) in err

@@ -104,6 +104,55 @@ class TestGaussianSpectrum:
         assert dist.B == 2.0
 
 
+# v* off every axis, and a clip radius below the trace, so rejections are common
+CLIPPED = GaussianSpectrum(
+    [2.0, 1.0, 0.5],
+    rotation=np.linalg.qr(np.random.default_rng(9).standard_normal((3, 3)))[0],
+    clip_radius=2.0,
+)
+
+
+def _allocating_gaussian_block(dist, rng, m):
+    """Reference: each draw in a fresh array, the rotation as a new product."""
+    scale = np.sqrt(dist.eigenvalues)
+    x = rng.standard_normal((m, dist.d)) * scale
+    rejected = 0
+    while True:
+        bad = np.einsum("ij,ij->i", x, x) > dist.clip_radius
+        if not bad.any():
+            break
+        rejected += int(bad.sum())
+        x[bad] = rng.standard_normal((int(bad.sum()), dist.d)) * scale
+    return x @ dist.rotation.T, rejected
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [CoordinateDistribution(p=0.3, sigma=0.5, d=5), CLIPPED],
+    ids=["coordinate", "gaussian"],
+)
+def test_sample_block_into_out_returns_out_with_the_same_bits(dist):
+    ref = dist.sample_block(np.random.default_rng(6), 300)
+    buf = np.full((300, dist.d), np.nan)  # every entry must be written
+    assert dist.sample_block(np.random.default_rng(6), 300, out=buf) is buf
+    assert np.array_equal(buf, ref)
+
+
+def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
+    ref, ref_rejected = _allocating_gaussian_block(CLIPPED, np.random.default_rng(7), 400)
+    assert ref_rejected > 0
+    x, rejected = CLIPPED.sample_block(np.random.default_rng(7), 400, return_rejections=True)
+    buf = np.empty((400, 3))
+    y, out_rejected = CLIPPED.sample_block(
+        np.random.default_rng(7), 400, return_rejections=True, out=buf
+    )
+    assert y is buf
+    assert rejected == out_rejected == ref_rejected
+    assert np.array_equal(x, ref) and np.array_equal(y, ref)
+    with pytest.raises(ValueError):
+        CLIPPED.sample_block(np.random.default_rng(7), 399, out=buf)
+
+
 def test_random_unit_vectors_are_unit_norm():
     rng = np.random.default_rng(12)
     V = random_unit_vectors(7, 100, rng)

@@ -116,6 +116,50 @@ def test_simulate_matches_single_state_reference(dist, rule):
             assert res.psi[tid, -1] == ref
 
 
+@pytest.mark.parametrize("T", [1, 7])
+def test_chunk_rows_do_not_depend_on_the_split(T):
+    # clip radius below the trace, so the rejection loop runs on most rows
+    dist = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
+    assert dist.sample_block(trial_rng(3, 0), 50, return_rejections=True)[1] > 0
+    ref = np.stack([dist.sample_block(trial_rng(3, t), 50) for t in range(T)])
+    for workers in (1, 2, 3):  # T=7 over 2 or 3 parts is uneven
+        X = np.full((T, 50, dist.d), np.nan)
+        harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], 50, workers)
+        assert np.array_equal(X, ref), workers
+
+
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+@pytest.mark.parametrize("dist", [GAUSS, ROTATED], ids=["gaussian", "rotated"])
+def test_simulate_does_not_depend_on_the_cpu_count(monkeypatch, dist, rule):
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(harness, "CPUS", cpus)
+        runs.append(simulate(dist, rule, 1.5, 0, CHUNK + 40, 7, 8, track_max=True))
+    for res in runs[1:]:
+        assert np.array_equal(res.psi, runs[0].psi)
+        assert np.array_equal(res.max_psi, runs[0].max_psi)
+
+
+@pytest.mark.parametrize("bad_row", [0, 5])  # the calling thread's part, a worker's
+def test_a_failing_row_fails_the_run_after_every_part_ends(monkeypatch, bad_row):
+    monkeypatch.setattr(harness, "CPUS", 3)  # parts: rows 0-1, 2-3, 4-6
+    drawn = []
+    sample_block = GaussianSpectrum.sample_block
+
+    def failing(self, rng, m, **kwargs):
+        row = rng.bit_generator.seed_seq.spawn_key[0]
+        if row == bad_row:
+            raise RuntimeError(f"row {row} failed")
+        drawn.append(row)
+        return sample_block(self, rng, m, **kwargs)
+
+    monkeypatch.setattr(GaussianSpectrum, "sample_block", failing)
+    with pytest.raises(RuntimeError, match=f"row {bad_row} failed"):
+        simulate(GAUSS, "oja", 1.0, 0, 100, 7, 9)
+    # every other part ran to its end; the failing part stopped at its row
+    assert sorted(drawn) == [r for r in range(7) if r != bad_row and r != bad_row + 1]
+
+
 def test_krasulina_records_small_potentials_as_positive():
     # a random_unit start keeps an off-axis part, so no recorded value is 0
     dist = CoordinateDistribution(p=0.2, sigma=0.5, d=10)

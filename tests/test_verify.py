@@ -212,6 +212,27 @@ def test_mgf_check_passes_and_flags_vacuous_settings():
     assert weak.vacuous
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda n: check_mgf(3, 1.0, n, np.random.default_rng(0)),
+        lambda n: check_xi_expectation(DIST, np.ones(5), n, np.random.default_rng(0)),
+        lambda n: check_z_expectation(DIST, np.ones(5), 0.1, n, np.random.default_rng(0)),
+    ],
+    ids=["mgf", "xi", "z"],
+)
+def test_monte_carlo_checks_need_two_samples(check, n_samples):
+    # one sample has no standard error, and none has no mean
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        check(n_samples)
+
+
+def test_pathwise_needs_a_step():
+    with pytest.raises(ValueError, match="need at least one step"):
+        check_pathwise(DIST, "krasulina", steps=0, trials=2, master_seed=0)
+
+
 def test_gamma_inequality_over_wide_grid():
     z = np.geomspace(1e-3, 1e6, 500)
     rep = check_gamma_inequality(z)

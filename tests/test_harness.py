@@ -1,5 +1,6 @@
 """Tests for the experiment harness: determinism, aggregation, CSV output."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,10 +123,15 @@ def test_chunk_rows_do_not_depend_on_the_split(T):
     dist = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
     assert dist.sample_block(trial_rng(3, 0), 50, return_rejections=True)[1] > 0
     ref = np.stack([dist.sample_block(trial_rng(3, t), 50) for t in range(T)])
-    for workers in (1, 2, 3):  # T=7 over 2 or 3 parts is uneven
-        X = np.full((T, 50, dist.d), np.nan)
-        harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], 50, workers)
-        assert np.array_equal(X, ref), workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for workers in (1, 2, 3):  # T=7 over 2 or 3 parts is uneven
+            X = np.full((T, 50, dist.d), np.nan)
+            harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], 50, workers)
+            assert np.array_equal(X, ref), workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("rule", ["krasulina", "oja"])

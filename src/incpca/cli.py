@@ -62,7 +62,7 @@ def _make_dist(args):
     if args.dist == "gaussian":
         lam = np.array([float(s) for s in args.eigenvalues.split(",")])
         return GaussianSpectrum(eigenvalues=lam, clip_radius=args.clip_radius)
-    raise SystemExit(f"unknown distribution {args.dist!r}")
+    raise ValueError(f"unknown distribution {args.dist!r}")
 
 
 def _out_path(args, default_name: str) -> str:
@@ -232,6 +232,8 @@ def _cmd_bound(args) -> int:
         lambda1=args.lambda1,
         lambda2=args.lambda2,
     )
+    if not 1 <= args.n_min <= args.n_max:
+        raise ValueError("need 1 <= --n-min <= --n-max")
     ns = np.unique(np.rint(np.geomspace(args.n_min, args.n_max, args.points)).astype(int))
     path = _out_path(args, f"bound_co{args.c_o}.csv")
     harness.write_bound_csv(path, params, ns)

@@ -2,7 +2,7 @@
 
 All sources emit mean-zero samples with a hard norm bound B (the coordinate
 distribution by construction, Gaussian sources via rejection at a clip
-radius) and expose exact or oracle-computed ground truth.
+radius) and expose their exact ground truth.
 
 Randomness contract: every trial owns a counter-based stream derived from
 (master_seed, trial_id) via `trial_rng`, so sample sequences are a pure
@@ -11,25 +11,17 @@ function of those two integers regardless of execution schedule.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import linalg
 
 __all__ = [
     "GroundTruth",
     "CoordinateDistribution",
     "GaussianSpectrum",
-    "DatasetStream",
     "trial_rng",
     "random_unit_vector",
     "random_unit_vectors",
-    "empirical_ground_truth",
-    "save_ground_truth",
-    "load_ground_truth",
 ]
 
 
@@ -47,8 +39,6 @@ class GroundTruth:
     lambda1: float
     lambda2: float
     B: float
-    degenerate_gap: bool = False
-    rank_deficient: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.v_star, dtype=float)
@@ -221,71 +211,6 @@ class GaussianSpectrum:
         return self.sample_block(rng, 1)[0]
 
 
-@dataclass
-class DatasetStream:
-    """CSV-backed sample stream: one sample per row, d columns.
-
-    An optional header row is skipped.  With center=True a preliminary pass
-    computes the column means, which are then subtracted from every sample.
-    """
-
-    source: str | Path
-    d: int | None = None
-    center: bool = False
-    _mean: np.ndarray | None = field(default=None, repr=False)
-
-    def _parse_row(self, row, lineno: int) -> np.ndarray:
-        try:
-            x = np.array([float(c) for c in row], dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"{self.source}: line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{self.source}: line {lineno}: non-finite value")
-        if self.d is not None and x.size != self.d:
-            raise ValueError(
-                f"{self.source}: line {lineno}: expected {self.d} values, got {x.size}"
-            )
-        return x
-
-    def _raw_rows(self):
-        with open(self.source, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if lineno == 1:
-                    try:
-                        [float(c) for c in row]
-                    except ValueError:
-                        continue  # header
-                yield lineno, row
-
-    def mean(self) -> np.ndarray:
-        if self._mean is None:
-            total, count = None, 0
-            for lineno, row in self._raw_rows():
-                x = self._parse_row(row, lineno)
-                if self.d is None:
-                    self.d = x.size
-                total = x if total is None else total + x
-                count += 1
-            if count == 0:
-                raise ValueError(f"{self.source}: empty stream")
-            self._mean = total / count
-        return self._mean
-
-    def __iter__(self):
-        offset = self.mean() if self.center else None
-        count = 0
-        for lineno, row in self._raw_rows():
-            x = self._parse_row(row, lineno)
-            if self.d is None:
-                self.d = x.size
-            count += 1
-            yield x - offset if offset is not None else x
-        if count == 0:
-            raise ValueError(f"{self.source}: empty stream")
-
-
 def random_unit_vectors(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """(m, d) block of vectors uniform on the unit sphere."""
     if d < 1:
@@ -303,80 +228,3 @@ def random_unit_vectors(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     return random_unit_vectors(d, 1, rng)[0]
-
-
-def empirical_ground_truth(stream: DatasetStream, pass_budget: int = 2) -> GroundTruth:
-    """Ground truth for file data: empirical covariance + batch eigensolve.
-
-    One pass accumulates the (uncentered or centered) second-moment matrix
-    and max |X|^2; the top-2 eigenpairs then come from linalg.top_eigs.
-    """
-    if pass_budget < 2:
-        raise ValueError("need pass_budget >= 2 (mean pass + covariance pass)")
-    second = None
-    b_max = 0.0
-    count = 0
-    for x in stream:
-        if second is None:
-            second = np.zeros((x.size, x.size))
-        second += np.outer(x, x)
-        b_max = max(b_max, float(x @ x))
-        count += 1
-    cov = second / count
-    rank_deficient = count < cov.shape[0] + 1
-    if b_max == 0.0:
-        raise ValueError("all records are zero; no principal direction")
-    try:
-        vals, vecs = linalg.top_eigs(cov, k=min(2, cov.shape[0]))
-        lam1 = float(vals[0])
-        lam2 = float(vals[1]) if vals.size > 1 else 0.0
-        v1 = vecs[0]
-        # flag both a vanishing top gap and a vanishing second eigenvalue
-        # (rank-1 data): either way the second direction is not identified
-        degenerate = (lam1 - lam2 <= 1e-12 * max(1.0, lam1)) or (
-            lam2 <= 1e-12 * max(1.0, lam1)
-        )
-    except linalg.EigenConvergenceError:
-        # near-equal top eigenvalues: fall back on the dominant pair only
-        vals, vecs = linalg.top_eigs(cov, k=1, tol=1e-8)
-        lam1, lam2, v1 = float(vals[0]), float(vals[0]), vecs[0]
-        degenerate = True
-    return GroundTruth(
-        v_star=v1,
-        lambda1=lam1,
-        lambda2=lam2,
-        B=b_max,
-        degenerate_gap=degenerate,
-        rank_deficient=rank_deficient,
-    )
-
-
-def save_ground_truth(path, gt: GroundTruth) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda1", "lambda2", "B", "degenerate_gap", "rank_deficient"])
-        w.writerow(
-            [
-                repr(gt.lambda1),
-                repr(gt.lambda2),
-                repr(gt.B),
-                int(gt.degenerate_gap),
-                int(gt.rank_deficient),
-            ]
-        )
-        w.writerow([repr(float(c)) for c in gt.v_star])
-
-
-def load_ground_truth(path) -> GroundTruth:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    head = rows[1]
-    v = np.array([float(c) for c in rows[2]])
-    return GroundTruth(
-        v_star=v,
-        lambda1=float(head[0]),
-        lambda2=float(head[1]),
-        B=float(head[2]),
-        degenerate_gap=bool(int(head[3])),
-        rank_deficient=bool(int(head[4])),
-    )

@@ -37,7 +37,6 @@ __all__ = [
     "step",
     "block_oja_step",
     "init_vector",
-    "subspace_potential",
 ]
 
 KRASULINA = "krasulina"
@@ -220,16 +219,6 @@ def block_oja_step(bstate: BlockState, x) -> BlockState:
         collapse_events=bstate.collapse_events + collapses,
         _rng=bstate._rng,
     )
-
-
-def subspace_potential(V: np.ndarray, V_star: np.ndarray) -> float:
-    """Diagnostic for block runs: p - |V*' V|_F^2.
-
-    Zero when the frames span the same subspace.  Reported as a convergence
-    diagnostic only; no finite-sample guarantee is attached to it.
-    """
-    p = V.shape[1]
-    return float(p - np.linalg.norm(V_star.T @ V, "fro") ** 2)
 
 
 def init_vector(mode, d: int, dist=None, rng=None, k: int | None = None) -> np.ndarray:

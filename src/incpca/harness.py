@@ -169,6 +169,8 @@ def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
     chunks are drawn on CPUS threads; a coordinate row is a few GIL-bound
     numpy calls, which gain nothing from a split, so those stay on one.
     """
+    if rule not in (KRASULINA, OJA):
+        raise ValueError(f"unknown rule {rule!r}")
     update = estimators.krasulina_update if rule == KRASULINA else estimators.oja_update
     workers = CPUS if isinstance(dist, GaussianSpectrum) else 1
     T, d = V.shape
@@ -266,6 +268,8 @@ def simulate(
     """
     if c <= 0:
         raise ValueError("c must be positive")
+    if n_o < 0:
+        raise ValueError("n_o must be >= 0")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if trial_ids is None:

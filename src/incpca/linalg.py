@@ -2,8 +2,7 @@
 
 Everything here is a pure function of numpy arrays: Rayleigh quotient and
 gradient, the alignment potential used to score eigenvector estimates, and a
-small power-iteration eigensolver used as a batch oracle for empirical
-ground truth.
+small power-iteration eigensolver that the numerics checks use.
 """
 
 from __future__ import annotations

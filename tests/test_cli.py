@@ -170,6 +170,12 @@ def test_run_input_errors_are_one_line(tmp_path, capsys, flags, message):
             "need at least one step",
         ),
         (["counterexample", "--trials", "10", "--horizon", "0"], "horizon must be at least 1"),
+        (["run", "--n-o", "-3", "--c", "1", "--horizon", "100", "--trials", "2"], "n_o must be >= 0"),
+        (
+            ["bound", "--c-o", "4", "--d", "10", "--delta", "0.25", "--n-o", "1000",
+             "--lambda1", "2.5", "--lambda2", "0.5", "--n-min", "0", "--n-max", "100"],
+            "need 1 <= --n-min <= --n-max",
+        ),
     ],
 )
 def test_nonpositive_rate_or_trial_count_is_one_line(tmp_path, capsys, argv, message):
@@ -216,12 +222,18 @@ def test_slope_reads_back_gaussian_run(tmp_path, capsys):
             "No such file or directory: '{tmp}/no/dir/x.csv'",
         ),
         (["run", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg: line 2: expected key=value"),
+        (["run", "--config", "{tmp}/rule.cfg"], "unknown rule 'foo'"),
+        (["run", "--config", "{tmp}/dist.cfg"], "unknown distribution 'csv'"),
     ],
-    ids=["slope-input", "config", "out-dir", "config-line"],
+    ids=["slope-input", "config", "out-dir", "config-line", "config-rule", "config-dist"],
 )
 def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
     (tmp_path / "bad.cfg").write_text("c = 1\nhorizon 100\n")
+    run_cfg = "c = 1\nhorizon = 100\ntrials = 2\nout = {}\n".format(tmp_path / "x.csv")
+    (tmp_path / "rule.cfg").write_text(run_cfg + "rule = foo\n")
+    (tmp_path / "dist.cfg").write_text(run_cfg + "dist = csv\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("incpca: error: ") and err.endswith("\n") and err.count("\n") == 1
     assert message.format(tmp=tmp_path) in err
+    assert not (tmp_path / "x.csv").exists()

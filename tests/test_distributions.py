@@ -5,13 +5,9 @@ import pytest
 
 from incpca.distributions import (
     CoordinateDistribution,
-    DatasetStream,
     GaussianSpectrum,
-    empirical_ground_truth,
-    load_ground_truth,
     random_unit_vector,
     random_unit_vectors,
-    save_ground_truth,
     trial_rng,
 )
 
@@ -160,68 +156,3 @@ def test_random_unit_vectors_are_unit_norm():
     assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)
     v = random_unit_vector(7, np.random.default_rng(12))
     assert np.linalg.norm(v) == pytest.approx(1.0)
-
-
-class TestDatasetStream:
-    def _write(self, path, rows, header=None):
-        with open(path, "w") as fh:
-            if header:
-                fh.write(header + "\n")
-            for r in rows:
-                fh.write(",".join(repr(x) for x in r) + "\n")
-
-    def test_round_trip_and_centering(self, tmp_path):
-        path = tmp_path / "data.csv"
-        rows = [(1.0, 2.0), (3.0, 4.0), (5.0, 0.0)]
-        self._write(path, rows)
-        stream = DatasetStream(path, center=True)
-        X = np.array(list(stream))
-        assert np.allclose(X.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(stream.mean(), [3.0, 2.0])
-
-    def test_header_skip_and_parse_errors(self, tmp_path):
-        path = tmp_path / "data.csv"
-        self._write(path, [(1.0, 2.0)], header="x,y")
-        stream = DatasetStream(path)
-        assert len(list(stream)) == 1
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0\n1.0,oops\n")
-        with pytest.raises(ValueError, match="line 2"):
-            list(DatasetStream(bad))
-
-    def test_empirical_ground_truth_recovers_planted_direction(self, tmp_path):
-        dist = CoordinateDistribution(p=0.4, sigma=0.4, d=4)
-        X = dist.sample_block(np.random.default_rng(21), 50000)
-        path = tmp_path / "samples.csv"
-        np.savetxt(path, X, delimiter=",")
-        gt = empirical_ground_truth(DatasetStream(path))
-        assert abs(gt.v_star[0]) > 0.999
-        assert gt.lambda1 == pytest.approx(0.4, abs=0.02)
-        assert not gt.rank_deficient
-        assert not gt.degenerate_gap
-
-    def test_empirical_ground_truth_flags_degenerate_input(self, tmp_path):
-        path = tmp_path / "flat.csv"
-        path.write_text("1.0,0.0,0.0\n" * 10)
-        gt = empirical_ground_truth(DatasetStream(path))
-        assert gt.degenerate_gap
-
-    def test_empirical_ground_truth_flags_rank_deficiency(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n")
-        gt = empirical_ground_truth(DatasetStream(path))
-        assert gt.rank_deficient
-
-
-def test_ground_truth_cache_round_trip(tmp_path):
-    dist = CoordinateDistribution(p=0.2, sigma=0.5, d=6)
-    gt = dist.ground_truth()
-    path = tmp_path / "gt.csv"
-    save_ground_truth(path, gt)
-    back = load_ground_truth(path)
-    assert np.array_equal(back.v_star, gt.v_star)
-    assert back.lambda1 == gt.lambda1
-    assert back.lambda2 == gt.lambda2
-    assert back.B == gt.B
-    assert back.degenerate_gap == gt.degenerate_gap
-    assert back.rank_deficient == gt.rank_deficient

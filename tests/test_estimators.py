@@ -19,7 +19,6 @@ from incpca.estimators import (
     oja_step,
     oja_update,
     step,
-    subspace_potential,
     xi,
     z_increment,
 )
@@ -257,9 +256,3 @@ class TestBlockOja:
         assert collapses == 1
         V = W.T
         assert np.abs(V.T @ V - np.eye(2)).max() <= 1e-10
-
-
-def test_subspace_potential_extremes():
-    V = np.eye(4)[:, :2]
-    assert subspace_potential(V, np.eye(4)[:, :2]) == pytest.approx(0.0, abs=1e-12)
-    assert subspace_potential(V, np.eye(4)[:, 2:]) == pytest.approx(2.0, abs=1e-12)

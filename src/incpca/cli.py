@@ -5,9 +5,11 @@ CSV), counterexample (trap-frequency experiment), schedule (epoch ladder),
 bound (convergence-bound curve), verify (Monte Carlo check suite; exits
 nonzero on any failure).
 
-Options can come from flags or from a key=value config file (--config);
-flags take precedence.  INCPCA_OUTDIR overrides the default output
-directory.
+Options can come from flags or from a key=value config file (--config):
+its values become the subcommand's defaults, converted by each flag's own
+type, so a flag on the command line wins, even abbreviated.  Every bad flag,
+config value, file or input prints one line `incpca: error: ...` and exits
+2.  INCPCA_OUTDIR overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -37,23 +39,10 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill namespace slots from the config file unless given on the CLI."""
-    if not getattr(args, "config", None):
-        return
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-    for key, raw in _load_config_file(args.config).items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # reported by `main` as one line, like every other bad input
+        raise ValueError(message)
 
 
 def _make_dist(args):
@@ -66,9 +55,7 @@ def _make_dist(args):
 
 
 def _out_path(args, default_name: str) -> str:
-    if args.out:
-        return args.out
-    return os.path.join(harness.output_dir(), default_name)
+    return args.out or os.path.join(os.environ.get("INCPCA_OUTDIR", "."), default_name)
 
 
 def _add_common(p):
@@ -86,8 +73,9 @@ def _add_dist_args(p):
     p.add_argument("--clip-radius", type=float, default=0.0, help="0 = 10*trace default")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="incpca", description=__doc__)
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser; `config` values become each subcommand's defaults."""
+    ap = _Parser(prog="incpca", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="multi-trial convergence experiment")
@@ -95,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(run)
     run.add_argument("--rule", default=KRASULINA, choices=[KRASULINA, OJA])
     run.add_argument("--init", default="random_unit", choices=["random_unit", "first_point", "average_k"])
-    run.add_argument("--init-k", type=int, default=0)
-    run.add_argument("--c", type=float, default=0.0, help="learning-rate constant")
-    run.add_argument("--c-o", type=float, default=0.0, help="gap-normalized rate constant")
+    run.add_argument("--init-k", type=int)
+    run.add_argument("--c", type=float, help="learning-rate constant")
+    run.add_argument("--c-o", type=float, help="gap-normalized rate constant")
     run.add_argument("--n-o", type=int, default=0)
     run.add_argument("--horizon", type=int, default=100_000)
     run.add_argument("--trials", type=int, default=100)
@@ -115,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(cx)
     cx.add_argument("--rule", default=KRASULINA, choices=[KRASULINA, OJA])
     cx.add_argument("--init", default="first_point", choices=["random_unit", "first_point", "average_k"])
-    cx.add_argument("--init-k", type=int, default=0)
+    cx.add_argument("--init-k", type=int)
     cx.add_argument("--c", type=float, default=1.0)
     cx.add_argument("--trials", type=int, default=1000)
     cx.add_argument("--horizon", type=int, default=2000)
@@ -147,6 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=50)
     ver.add_argument("--steps", type=int, default=2000)
 
+    for p in sub.choices.values():
+        dests = {a.dest for a in p._actions}
+        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in dests})
     return ap
 
 
@@ -156,9 +147,9 @@ def _cmd_run(args) -> int:
         dist=dist,
         rule=args.rule,
         init_mode=args.init,
-        init_k=args.init_k or None,
-        c=args.c or None,
-        c_o=args.c_o or None,
+        init_k=args.init_k,
+        c=args.c,
+        c_o=args.c_o,
         n_o=args.n_o,
         horizon=args.horizon,
         trials=args.trials,
@@ -166,33 +157,21 @@ def _cmd_run(args) -> int:
         grid_points=args.grid_points,
     )
     agg = harness.run_experiment(config)
-    c_label = args.c if args.c else f"co{args.c_o}"
+    c_label = args.c if args.c is not None else f"co{args.c_o}"
     path = _out_path(args, f"experiment_{args.rule}_c{c_label}.csv")
     harness.write_experiment_csv(path, config, agg)
     print(path)
     return 0
 
 
-def _read_experiment_csv(path: str, column: str):
-    ns, vals = [], []
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                idx = header.index(column)
-                continue
-            ns.append(float(cells[0]))
-            vals.append(float(cells[idx]))
-    return np.array(ns), np.array(vals)
-
-
 def _cmd_slope(args) -> int:
-    ns, vals = _read_experiment_csv(args.input, args.column)
+    with open(args.input, newline="") as fh:
+        header, *rows = harness.read_csv(fh) or [[]]
+    if args.column not in header:
+        raise ValueError(f"{args.input}: no column {args.column!r}")
+    j = header.index(args.column)
+    ns = np.array([float(row[0]) for row in rows])
+    vals = np.array([float(row[j]) for row in rows])
     fit = harness.estimate_slope(ns, vals, args.n_min, args.n_max)
     print(f"slope={fit.slope!r} r_squared={fit.r_squared!r} window_shrunk={fit.window_shrunk}")
     return 0
@@ -208,7 +187,7 @@ def _cmd_counterexample(args) -> int:
         master_seed=args.seed,
         rule=args.rule,
         c=args.c,
-        init_k=args.init_k or None,
+        init_k=args.init_k,
     )
     print(f"wrong_fraction={frac!r} std_error={se!r}")
     return 0
@@ -234,7 +213,9 @@ def _cmd_bound(args) -> int:
     )
     if not 1 <= args.n_min <= args.n_max:
         raise ValueError("need 1 <= --n-min <= --n-max")
-    ns = np.unique(np.rint(np.geomspace(args.n_min, args.n_max, args.points)).astype(int))
+    if args.points < 1:
+        raise ValueError("need --points >= 1")
+    ns = harness.log_grid(args.n_min, args.n_max, args.points)
     path = _out_path(args, f"bound_co{args.c_o}.csv")
     harness.write_bound_csv(path, params, ns)
     print(path)
@@ -279,20 +260,20 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
-    handler = {
+    handlers = {
         "run": _cmd_run,
         "slope": _cmd_slope,
         "counterexample": _cmd_counterexample,
         "schedule": _cmd_schedule,
         "bound": _cmd_bound,
         "verify": _cmd_verify,
-    }[args.command]
+    }
     try:
-        _apply_config(args, argv)
-        return handler(args)
-    # bad input (including estimators.InitError) and unreadable or unwritable files
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_load_config_file(args.config)).parse_args(argv)
+        return handlers[args.command](args)
+    # bad flags and input (including estimators.InitError), unreadable or unwritable files
     except (ValueError, OSError) as exc:
         print(f"incpca: error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Experiment runner: the trajectory engine, simulations, slopes, CSV output.
+"""Experiment runner: the trajectory engine, simulations, slopes, CSV files.
 
 `trajectories` is the one implementation of the update recurrence: it
 draws the samples, applies gamma_n = c/n, calls the `estimators` kernels
@@ -21,6 +21,7 @@ thread only, so its draws are identical whichever thread makes them.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import os
@@ -44,6 +45,8 @@ __all__ = [
     "estimate_slope",
     "counterexample_experiment",
     "log_grid",
+    "write_csv",
+    "read_csv",
     "write_experiment_csv",
     "write_schedule_csv",
     "write_bound_csv",
@@ -78,6 +81,8 @@ class ExperimentConfig:
             raise ValueError("horizon must exceed n_o")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be at least 1")
 
     def resolved_c(self) -> float:
         if self.c is not None:
@@ -417,66 +422,54 @@ def counterexample_experiment(
 
 
 # ---------------------------------------------------------------------------
-# CSV output.  Floats are written with repr() (shortest round-trip form) so
-# that identical runs produce byte-identical files.
+# CSV files: every table the package writes or reads goes through these two.
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _cell(x):
+    # floats are written with repr() (shortest round-trip form), so that
+    # identical runs produce byte-identical files
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else x
 
 
-def output_dir(default: str = ".") -> str:
-    return os.environ.get("INCPCA_OUTDIR", default)
+def write_csv(fh, header, rows, comments=(), trailer=()) -> None:
+    """'# ' comment lines, the header, the rows (quoted as needed), '# ' trailer lines.
+
+    Each line of a multi-line comment (a numpy array repr) gets its own '# '.
+    """
+    fh.writelines(f"# {line}\n" for text in comments for line in text.splitlines())
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([_cell(x) for x in row] for row in rows)
+    fh.writelines(f"# {line}\n" for text in trailer for line in text.splitlines())
 
 
-def config_header_lines(config: ExperimentConfig) -> list[str]:
-    lines = []
-    for f in fields(config):
-        # a numpy array repr can span lines; each one must stay a comment
-        text = f"{f.name} = {getattr(config, f.name)!r}"
-        lines += [f"# {line}" for line in text.splitlines()]
-    return lines
+def read_csv(fh) -> list[list[str]]:
+    """The rows of a table, header first; blank and '#' lines are skipped."""
+    return list(csv.reader(line for line in fh if line.strip()[:1] not in ("", "#")))
 
 
 def write_experiment_csv(path, config: ExperimentConfig, agg: Aggregate) -> None:
+    comments = [f"{f.name} = {getattr(config, f.name)!r}" for f in fields(config)]
+    rows = zip(
+        agg.ns.tolist(), agg.mean, agg.median, agg.q10, agg.q90, itertools.repeat(agg.trials_ok)
+    )
     with open(path, "w", newline="") as fh:
-        for line in config_header_lines(config):
-            fh.write(line + "\n")
-        fh.write("n,mean_psi,median_psi,q10_psi,q90_psi,trials_ok\n")
-        for i, n in enumerate(agg.ns):
-            fh.write(
-                ",".join(
-                    [
-                        str(int(n)),
-                        _fmt(agg.mean[i]),
-                        _fmt(agg.median[i]),
-                        _fmt(agg.q10[i]),
-                        _fmt(agg.q90[i]),
-                        str(agg.trials_ok),
-                    ]
-                )
-                + "\n"
-            )
+        write_csv(fh, "n,mean_psi,median_psi,q10_psi,q90_psi,trials_ok".split(","), rows, comments)
 
 
 def write_schedule_csv(path, schedule) -> None:
     audit = schedule.audit()
+    ok = all(flag for _, flag in audit)
+    trailer = [f"audit: {'pass' if ok else 'FAIL'}"]
+    trailer += [f"audit {'ok' if flag else 'VIOLATED'}: {name}" for name, flag in audit]
+    rows = ((j, n_j, eps_j) for j, (n_j, eps_j) in enumerate(schedule.pairs))
     with open(path, "w", newline="") as fh:
-        fh.write("j,n_j,eps_j\n")
-        for j, (n_j, eps_j) in enumerate(schedule.pairs):
-            fh.write(f"{j},{n_j},{_fmt(eps_j)}\n")
-        ok = all(flag for _, flag in audit)
-        fh.write(f"# audit: {'pass' if ok else 'FAIL'}\n")
-        for name, flag in audit:
-            fh.write(f"# audit {'ok' if flag else 'VIOLATED'}: {name}\n")
+        write_csv(fh, ["j", "n_j", "eps_j"], rows, trailer=trailer)
 
 
 def write_bound_csv(path, params, ns) -> None:
     from .theory import krasulina_bound
 
+    rows = ((int(n), krasulina_bound(params, int(n))) for n in ns)
     with open(path, "w", newline="") as fh:
-        fh.write("n,bound\n")
-        for n in ns:
-            fh.write(f"{int(n)},{_fmt(krasulina_bound(params, int(n)))}\n")
+        write_csv(fh, ["n", "bound"], rows)

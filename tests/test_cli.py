@@ -1,9 +1,13 @@
 """Tests for the command-line entry points."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from incpca.cli import main
+from incpca.cli import build_parser, main
 
 
 def test_run_writes_experiment_csv(tmp_path, capsys):
@@ -115,6 +119,15 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert out2.read_text().rstrip().splitlines()[-1].endswith(",7")
 
 
+@pytest.mark.parametrize("flag", [["--tri", "3"], ["--trials=3"]], ids=["abbreviated", "joined"])
+def test_an_abbreviated_or_joined_flag_beats_the_config_file(tmp_path, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 1\nhorizon = 100\ntrials = 2\n")
+    out = tmp_path / "exp.csv"
+    assert main(["run", "--config", str(cfg), *flag, "--out", str(out)]) == 0
+    assert out.read_text().rstrip().splitlines()[-1].endswith(",3")
+
+
 def test_verify_quick_suite(tmp_path):
     out = tmp_path / "reports.csv"
     rc = main(
@@ -176,6 +189,16 @@ def test_run_input_errors_are_one_line(tmp_path, capsys, flags, message):
              "--lambda1", "2.5", "--lambda2", "0.5", "--n-min", "0", "--n-max", "100"],
             "need 1 <= --n-min <= --n-max",
         ),
+        (
+            ["bound", "--c-o", "4", "--d", "10", "--delta", "0.25", "--n-o", "1000",
+             "--lambda1", "2.5", "--lambda2", "0.5", "--n-min", "1", "--n-max", "100",
+             "--points", "0"],
+            "need --points >= 1",
+        ),
+        (
+            ["run", "--c", "1", "--horizon", "100", "--trials", "2", "--grid-points", "-1"],
+            "grid_points must be at least 1",
+        ),
     ],
 )
 def test_nonpositive_rate_or_trial_count_is_one_line(tmp_path, capsys, argv, message):
@@ -224,16 +247,61 @@ def test_slope_reads_back_gaussian_run(tmp_path, capsys):
         (["run", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg: line 2: expected key=value"),
         (["run", "--config", "{tmp}/rule.cfg"], "unknown rule 'foo'"),
         (["run", "--config", "{tmp}/dist.cfg"], "unknown distribution 'csv'"),
+        (["run", "--config", "{tmp}/type.cfg"], "argument --trials: invalid int value: 'x'"),
+        (
+            ["slope", "--input", "{tmp}/exp.csv", "--column", "nope", "--n-min", "1",
+             "--n-max", "2"],
+            "{tmp}/exp.csv: no column 'nope'",
+        ),
     ],
-    ids=["slope-input", "config", "out-dir", "config-line", "config-rule", "config-dist"],
+    ids=[
+        "slope-input", "config", "out-dir", "config-line", "config-rule", "config-dist",
+        "config-type", "slope-column",
+    ],
 )
 def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
     (tmp_path / "bad.cfg").write_text("c = 1\nhorizon 100\n")
     run_cfg = "c = 1\nhorizon = 100\ntrials = 2\nout = {}\n".format(tmp_path / "x.csv")
     (tmp_path / "rule.cfg").write_text(run_cfg + "rule = foo\n")
     (tmp_path / "dist.cfg").write_text(run_cfg + "dist = csv\n")
+    (tmp_path / "type.cfg").write_text(run_cfg + "trials = x\n")
+    (tmp_path / "exp.csv").write_text("# a comment\nn,mean_psi\n1,0.5\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("incpca: error: ") and err.endswith("\n") and err.count("\n") == 1
     assert message.format(tmp=tmp_path) in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["run", "--rule", "foo"],
+            "argument --rule: invalid choice: 'foo' (choose from 'krasulina', 'oja')",
+        ),
+        (["run", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (
+            ["bound", "--c-o", "4", "--d", "3", "--delta", "0.25", "--n-o", "1000",
+             "--lambda1", "0.9", "--lambda2", "0.05", "--n-min", "1000"],
+            "the following arguments are required: --n-max",
+        ),
+    ],
+    ids=["choice", "type", "missing"],
+)
+def test_bad_flags_are_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"incpca: error: {message}\n"
+
+
+def test_readme_cli_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("incpca ")
+    ]
+    assert len(commands) == 6
+    for argv in commands:
+        build_parser().parse_args(argv)

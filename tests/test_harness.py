@@ -1,5 +1,6 @@
 """Tests for the experiment harness: determinism, aggregation, CSV output."""
 
+import io
 import sys
 import tracemalloc
 
@@ -16,8 +17,10 @@ from incpca.harness import (
     counterexample_experiment,
     estimate_slope,
     log_grid,
+    read_csv,
     run_experiment,
     simulate,
+    write_csv,
     write_experiment_csv,
 )
 
@@ -47,6 +50,8 @@ def test_config_validation():
         ExperimentConfig(dist=DIST, c=1.0, c_o=4.0)
     with pytest.raises(ValueError):
         ExperimentConfig(dist=DIST, c=1.0, n_o=100, horizon=100)
+    with pytest.raises(ValueError, match="grid_points must be at least 1"):
+        ExperimentConfig(dist=DIST, c=1.0, horizon=100, grid_points=0)
     cfg = ExperimentConfig(dist=DIST, c_o=4.0)
     gt = DIST.ground_truth()
     assert cfg.resolved_c() == pytest.approx(4.0 / (2 * gt.gap))
@@ -327,3 +332,17 @@ def test_experiment_csv_is_byte_stable(tmp_path):
     assert "n,mean_psi,median_psi,q10_psi,q90_psi,trials_ok" in text
     # headers record the full configuration
     assert "# master_seed = 4" in text
+
+
+def test_csv_writer_and_reader_round_trip():
+    buf = io.StringIO()
+    rows = [[1, 0.1, np.float64(1e-17), "a, b"], [2, 3.0, np.float32(0.5), ""]]
+    write_csv(buf, ["n", "x", "y", "note"], rows, comments=["one", "two\nlines"], trailer=["end"])
+    text = buf.getvalue()
+    assert text == (
+        "# one\n# two\n# lines\nn,x,y,note\n"
+        '1,0.1,1e-17,"a, b"\n2,3.0,0.5,\n# end\n'
+    )
+    assert read_csv(io.StringIO(text + "\n")) == [
+        ["n", "x", "y", "note"], ["1", "0.1", "1e-17", "a, b"], ["2", "3.0", "0.5", ""]
+    ]

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hyp1f1
 
-from incpca import estimators, harness, linalg
+from incpca import estimators, harness, linalg, theory
 from incpca.distributions import CoordinateDistribution
 from incpca.harness import CHUNK
 from incpca.linalg import potential
@@ -293,5 +294,65 @@ def test_write_reports_round_trips_a_detail_with_commas():
     buf = io.StringIO()
     write_reports(buf, [rep])
     header, row = csv.reader(io.StringIO(buf.getvalue()))
-    assert row == rep.csv_row()
+    assert row == ["pathwise_oja", "40", "1.0", "0.0", "0.0", "false", "1e-12", "false", detail]
     assert dict(zip(header, row))["detail"] == detail
+
+
+# Planted faults: each check must catch a broken formula at the sizes
+# `incpca verify` runs it at (1e5 samples, d = 10), on nearly every seed.
+CLI_DIST = CoordinateDistribution(p=0.2, sigma=0.5, d=10)
+
+
+def _caught(check, seeds=20):
+    return sum(not check(np.random.default_rng(seed)).passed for seed in range(seeds))
+
+
+def test_xi_check_catches_a_missing_projection_term(monkeypatch):
+    # xi without its -(v.x)^2/|v|^2 v term
+    monkeypatch.setattr(
+        estimators, "xi", lambda v, x: np.einsum("...i,...i->...", v, x)[..., None] * x
+    )
+    assert _caught(
+        lambda rng: check_xi_expectation(CLI_DIST, rng.standard_normal(10), 100_000, rng)
+    ) >= 19
+
+
+def test_z_check_catches_a_missing_factor_two(monkeypatch):
+    monkeypatch.setattr(estimators, "z_increment", lambda *args: z_increment(*args) / 2.0)
+    assert _caught(
+        lambda rng: check_z_expectation(CLI_DIST, rng.standard_normal(10), 0.1, 100_000, rng)
+    ) >= 19
+
+
+def test_mgf_check_catches_a_bound_below_the_true_mean(monkeypatch):
+    # E[e^{tY}] for Y ~ Beta((d-1)/2, 1/2) is 1F1((d-1)/2; d/2; t)
+    monkeypatch.setattr(theory, "mgf_bound", lambda d, t: 0.99 * hyp1f1((d - 1) / 2, d / 2, t))
+    assert _caught(lambda rng: check_mgf(10, 5.0, 100_000, rng)) >= 19
+
+
+def test_gradient_check_catches_a_missing_factor_two(monkeypatch):
+    gradient = linalg.rayleigh_gradient
+    monkeypatch.setattr(linalg, "rayleigh_gradient", lambda A, v: gradient(A, v) / 2.0)
+    A = CLI_DIST.covariance()
+    assert _caught(lambda rng: check_gradient(A, 100, 1e-5, rng)) >= 19
+
+
+def test_always_good_misses_a_bound_of_zero_at_50_trials(monkeypatch):
+    # At the CLI's 50 trials the frequency is about 0.1 and 3 standard
+    # errors about 0.13, so even a bound of 0 passes on most seeds; the
+    # docstring of check_always_good states this limit.
+    bound = theory.always_good_bound
+    monkeypatch.setattr(theory, "always_good_bound", lambda eps: (0.0, bound(eps)[1]))
+    reports = [
+        check_always_good(
+            CoordinateDistribution(p=0.2, sigma=0.5, d=3),
+            c=1.0,
+            eps=0.05,
+            horizon=20_000,
+            trials=50,
+            master_seed=seed,
+        )
+        for seed in range(10)
+    ]
+    assert all(rep.empirical > 0.0 for rep in reports)
+    assert sum(not rep.passed for rep in reports) <= 2

@@ -44,6 +44,15 @@ class _Parser(argparse.ArgumentParser):
         # reported by `main` as one line, like every other bad input
         raise ValueError(message)
 
+    def _get_value(self, action, arg_string):
+        value = super()._get_value(action, arg_string)
+        if arg_string is action.default:
+            # argparse checks `choices` only for values given as flags; a
+            # config file's value is a default, converted here when no flag
+            # overrides it, so it gets the flag's check and message
+            self._check_value(action, value)
+        return value
+
 
 def _make_dist(args):
     if args.dist == "coordinate":
@@ -74,7 +83,11 @@ def _add_dist_args(p):
 
 
 def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
-    """The parser; `config` values become each subcommand's defaults."""
+    """The parser; `config` values become each subcommand's defaults.
+
+    A default from `config` is converted by its flag's type and checked
+    against its flag's choices when the subcommand parses without that flag.
+    """
     ap = _Parser(prog="incpca", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

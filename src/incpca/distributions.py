@@ -33,12 +33,11 @@ def trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Target eigenvector, top two eigenvalues, and the norm-squared bound B."""
+    """Target eigenvector and top two eigenvalues."""
 
     v_star: np.ndarray
     lambda1: float
     lambda2: float
-    B: float
 
     def __post_init__(self):
         v = np.asarray(self.v_star, dtype=float)
@@ -47,8 +46,6 @@ class GroundTruth:
             raise ValueError("v_star must be a unit vector")
         if self.lambda1 < self.lambda2:
             raise ValueError("need lambda1 >= lambda2")
-        if self.B <= 0:
-            raise ValueError("B must be positive")
 
     @property
     def gap(self) -> float:
@@ -94,7 +91,7 @@ class CoordinateDistribution:
     def ground_truth(self) -> GroundTruth:
         v = np.zeros(self.d)
         v[0] = 1.0
-        return GroundTruth(v_star=v, lambda1=self.p, lambda2=self.lambda2, B=1.0)
+        return GroundTruth(v_star=v, lambda1=self.p, lambda2=self.lambda2)
 
     def sample_block(self, rng: np.random.Generator, m: int, out=None) -> np.ndarray:
         """(m, d) block of i.i.d. draws, written into `out` when given."""
@@ -179,7 +176,6 @@ class GaussianSpectrum:
             v_star=v,
             lambda1=float(self.eigenvalues[0]),
             lambda2=float(self.eigenvalues[1]),
-            B=self.B,
         )
 
     def sample_block(self, rng, m, return_rejections: bool = False, out=None):

@@ -14,7 +14,8 @@ scale-invariant, so this is observationally neutral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,14 +134,34 @@ def oja_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     return W / norms[..., None]
 
 
+def _checked_norm(V: np.ndarray) -> float:
+    """|V|, raising as EstimatorState does for a non-finite or zero V.
+
+    One squared norm serves both: a nan or inf entry makes it non-finite,
+    and np.linalg.norm of a vector is sqrt(V.dot(V)), so the bits agree.
+    """
+    nsq = float(V.dot(V))
+    if not (math.isfinite(nsq) and nsq > 0.0):
+        raise ValueError("state vector must be finite and nonzero")
+    return math.sqrt(nsq)
+
+
+def _successor(state: EstimatorState, V: np.ndarray, n: int) -> EstimatorState:
+    """`state` advanced to (V, n); the step functions have run its checks on V."""
+    succ = object.__new__(EstimatorState)
+    succ.__dict__.update(V=V, n=n, rule=state.rule, lr=state.lr)
+    return succ
+
+
 def krasulina_step(state: EstimatorState, x) -> EstimatorState:
     if state.rule != KRASULINA:
         raise ValueError("state is not a Krasulina state")
     n = state.n + 1
     V = krasulina_update(state.V, np.asarray(x, dtype=float), state.lr.gamma(n))
-    if float(np.linalg.norm(V)) > RENORM_THRESHOLD:
-        V = V / np.linalg.norm(V)
-    return replace(state, V=V, n=n)
+    norm = _checked_norm(V)
+    if norm > RENORM_THRESHOLD:
+        V = V / norm
+    return _successor(state, V, n)
 
 
 def oja_step(state: EstimatorState, x) -> EstimatorState:
@@ -148,7 +169,9 @@ def oja_step(state: EstimatorState, x) -> EstimatorState:
         raise ValueError("state is not an Oja state")
     n = state.n + 1
     V = oja_update(state.V, np.asarray(x, dtype=float), state.lr.gamma(n))
-    return replace(state, V=V, n=n)
+    if abs(_checked_norm(V) - 1.0) > 1e-12:
+        raise ValueError("Oja state must have unit norm")
+    return _successor(state, V, n)
 
 
 def step(state: EstimatorState, x) -> EstimatorState:
@@ -168,7 +191,8 @@ class BlockState:
     def __post_init__(self):
         self.V = np.asarray(self.V, dtype=float)
         p = self.V.shape[1]
-        if np.abs(self.V.T @ self.V - np.eye(p)).max() > 1e-10:
+        # written so that a nan entry fails it too
+        if not np.abs(self.V.T @ self.V - np.eye(p)).max() <= 1e-10:
             raise ValueError("columns must be orthonormal")
 
 

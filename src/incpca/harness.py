@@ -16,7 +16,9 @@ draws from its own counter-based stream, so any trial's trajectory is a
 pure function of (master_seed, trial_id) and is identical whether the
 trial runs alone or inside a batch.  A Gaussian chunk is filled on every
 CPU the process may use (`_draw_rows`); a trial's stream is read by one
-thread only, so its draws are identical whichever thread makes them.
+thread only, so its draws are identical whichever thread makes them.  A
+Gaussian chunk is held step-major, so each step reads its samples as one
+contiguous (trials, d) block; a coordinate chunk stays trial-major.
 """
 
 from __future__ import annotations
@@ -135,18 +137,26 @@ def init_states(dist, rule, init_mode, init_k, master_seed, trial_ids):
 
 
 def _draw_rows(X, dist, rngs, m, workers):
-    """Fill row r of the (T, m, d) chunk X with m draws from rngs[r].
+    """Fill row r of the (T, m, d) array X with m draws from rngs[r].
 
-    The rows are cut into `workers` contiguous parts: worker threads fill
-    parts 2..k while the calling thread fills part 1.  A row reads only its
-    own generator, and no generator is used by two threads, so the chunk
-    is bitwise the same for any `workers`.  A part's exception is raised
-    after every part has finished.
+    X may be a view whose rows are strided (the trial-major view of a
+    step-major chunk): each thread then draws a row into one contiguous
+    scratch block of its own, because Gaussian `out=` must be contiguous,
+    and copies it into the row.  The rows are cut into `workers`
+    contiguous parts: worker threads fill parts 2..k while the calling
+    thread fills part 1.  A row reads only its own generator, and no
+    generator is used by two threads, so X is bitwise the same for any
+    `workers`.  A part's exception is raised after every part has finished.
     """
 
     def fill(rows):
+        if X[0].flags.c_contiguous:
+            for row in rows:
+                dist.sample_block(rngs[row], m, out=X[row])
+            return
+        block = np.empty(X.shape[1:])
         for row in rows:
-            dist.sample_block(rngs[row], m, out=X[row])
+            X[row] = dist.sample_block(rngs[row], m, out=block)
 
     T = len(rngs)
     workers = min(workers, T)
@@ -173,21 +183,29 @@ def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
     (at the end of a chunk) replaces the state with a new array.  Gaussian
     chunks are drawn on CPUS threads; a coordinate row is a few GIL-bound
     numpy calls, which gain nothing from a split, so those stay on one.
+
+    A Gaussian chunk is held step-major, (m, T, d), so that step i reads
+    its samples X[i] as one contiguous (T, d) block and `x` is C-contiguous.
+    A coordinate chunk stays trial-major, (T, m, d), and is stepped through
+    a transposed view: its rows are drawn in place, and at its batch sizes
+    the copy into a step-major chunk costs what the contiguous step saves.
     """
     if rule not in (KRASULINA, OJA):
         raise ValueError(f"unknown rule {rule!r}")
     update = estimators.krasulina_update if rule == KRASULINA else estimators.oja_update
-    workers = CPUS if isinstance(dist, GaussianSpectrum) else 1
+    dense = isinstance(dist, GaussianSpectrum)
+    workers = CPUS if dense else 1
     T, d = V.shape
     n = n_o
     while n < horizon:
         m = min(CHUNK, horizon - n)
-        X = np.empty((T, m, d))
-        _draw_rows(X, dist, rngs, m, workers)
+        # X[i] holds step i's samples; X.transpose(1, 0, 2)[r] is trial r's block
+        X = np.empty((m, T, d)) if dense else np.empty((T, m, d)).transpose(1, 0, 2)
+        _draw_rows(X.transpose(1, 0, 2), dist, rngs, m, workers)
         for i in range(m):
             n += 1
             gamma = c / n
-            x = X[:, i, :]
+            x = X[i]
             V_prev, V = V, update(V, x, gamma)
             yield n, gamma, x, V_prev, V
         # free this chunk before the next is allocated and filled: a view

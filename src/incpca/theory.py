@@ -24,7 +24,6 @@ __all__ = [
     "solve_recurrence",
     "mgf_bound",
     "always_good_bound",
-    "heuristic_rate",
     "beta_step",
     "A_EXPONENT",
 ]
@@ -254,15 +253,6 @@ def always_good_bound(eps: float):
         return math.ceil(2.0 * B**2 * c**2 * d**2 / eps**2)
 
     return prob, n_o_min
-
-
-def heuristic_rate(c: float, lambda1: float, lambda2: float, d: int, n) -> float:
-    """Back-of-the-envelope potential level (d-1) / n^{2 c (lambda1-lambda2)}."""
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 1):
-        raise ValueError("need n >= 1")
-    out = (d - 1) / n ** (2.0 * c * (lambda1 - lambda2))
-    return float(out) if out.ndim == 0 else out
 
 
 def beta_step(rule: str, gamma: float, B: float) -> float:

@@ -119,6 +119,16 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert out2.read_text().rstrip().splitlines()[-1].endswith(",7")
 
 
+def test_a_bad_config_choice_is_checked_only_where_it_is_used(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 1\nhorizon = 100\ntrials = 2\nrule = foo\n")
+    # a flag overrides the value; a subcommand without --rule ignores the key
+    run = ["run", "--config", str(cfg), "--rule", "oja"]
+    assert main([*run, "--out", str(tmp_path / "x.csv")]) == 0
+    sched = ["schedule", "--config", str(cfg), "--delta", "0.1", "--d", "10", "--c-o", "4"]
+    assert main([*sched, "--c", "1", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 @pytest.mark.parametrize("flag", [["--tri", "3"], ["--trials=3"]], ids=["abbreviated", "joined"])
 def test_an_abbreviated_or_joined_flag_beats_the_config_file(tmp_path, flag):
     cfg = tmp_path / "run.cfg"
@@ -234,19 +244,30 @@ def test_slope_reads_back_gaussian_run(tmp_path, capsys):
     [
         (
             ["slope", "--input", "{tmp}/missing.csv", "--n-min", "1", "--n-max", "2"],
-            "No such file or directory: '{tmp}/missing.csv'",
+            "[Errno 2] No such file or directory: '{tmp}/missing.csv'",
         ),
         (
             ["run", "--config", "{tmp}/missing.cfg"],
-            "No such file or directory: '{tmp}/missing.cfg'",
+            "[Errno 2] No such file or directory: '{tmp}/missing.cfg'",
         ),
         (
             ["run", "--c", "1", "--horizon", "10", "--trials", "1", "--out", "{tmp}/no/dir/x.csv"],
-            "No such file or directory: '{tmp}/no/dir/x.csv'",
+            "[Errno 2] No such file or directory: '{tmp}/no/dir/x.csv'",
         ),
         (["run", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg: line 2: expected key=value"),
-        (["run", "--config", "{tmp}/rule.cfg"], "unknown rule 'foo'"),
-        (["run", "--config", "{tmp}/dist.cfg"], "unknown distribution 'csv'"),
+        (
+            ["run", "--config", "{tmp}/rule.cfg"],
+            "argument --rule: invalid choice: 'foo' (choose from 'krasulina', 'oja')",
+        ),
+        (
+            ["run", "--config", "{tmp}/dist.cfg"],
+            "argument --dist: invalid choice: 'csv' (choose from 'coordinate', 'gaussian')",
+        ),
+        (
+            ["run", "--config", "{tmp}/init.cfg"],
+            "argument --init: invalid choice: 'bogus' "
+            "(choose from 'random_unit', 'first_point', 'average_k')",
+        ),
         (["run", "--config", "{tmp}/type.cfg"], "argument --trials: invalid int value: 'x'"),
         (
             ["slope", "--input", "{tmp}/exp.csv", "--column", "nope", "--n-min", "1",
@@ -256,7 +277,7 @@ def test_slope_reads_back_gaussian_run(tmp_path, capsys):
     ],
     ids=[
         "slope-input", "config", "out-dir", "config-line", "config-rule", "config-dist",
-        "config-type", "slope-column",
+        "config-init", "config-type", "slope-column",
     ],
 )
 def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
@@ -264,12 +285,11 @@ def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
     run_cfg = "c = 1\nhorizon = 100\ntrials = 2\nout = {}\n".format(tmp_path / "x.csv")
     (tmp_path / "rule.cfg").write_text(run_cfg + "rule = foo\n")
     (tmp_path / "dist.cfg").write_text(run_cfg + "dist = csv\n")
+    (tmp_path / "init.cfg").write_text(run_cfg + "init = bogus\n")
     (tmp_path / "type.cfg").write_text(run_cfg + "trials = x\n")
     (tmp_path / "exp.csv").write_text("# a comment\nn,mean_psi\n1,0.5\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("incpca: error: ") and err.endswith("\n") and err.count("\n") == 1
-    assert message.format(tmp=tmp_path) in err
+    assert capsys.readouterr().err == f"incpca: error: {message.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "x.csv").exists()
 
 

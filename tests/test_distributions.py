@@ -26,7 +26,7 @@ class TestCoordinateDistribution:
         gt = dist.ground_truth()
         assert gt.lambda1 == pytest.approx(0.2)
         assert gt.lambda2 == pytest.approx(0.25 * 0.8 / 9)
-        assert gt.B == 1.0
+        assert dist.B == 1.0
         assert np.array_equal(gt.v_star, np.eye(10)[0])
         assert gt.gap == pytest.approx(0.2 - 0.25 * 0.8 / 9)
 

@@ -8,6 +8,7 @@ from incpca.distributions import CoordinateDistribution, trial_rng
 from incpca.estimators import (
     KRASULINA,
     OJA,
+    RENORM_THRESHOLD,
     BlockState,
     EstimatorState,
     InitError,
@@ -147,6 +148,23 @@ def test_step_dispatch_and_state_bookkeeping():
     assert oja_step(st_o, np.array([0.0, 1.0])).rule == OJA
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("rule", [KRASULINA, OJA])
+def test_step_rejects_a_sample_that_makes_the_state_non_finite(rule, bad):
+    state = EstimatorState(V=np.array([0.6, 0.8]), n=0, rule=rule, lr=LearningRate(c=1.0))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite and nonzero"):
+        step(state, np.array([bad, 1.0]))
+
+
+def test_krasulina_renormalizes_a_state_past_the_threshold():
+    v = np.array([3e100, 4e100])
+    x = np.array([0.3, -0.7])
+    state = EstimatorState(V=v, n=4, rule=KRASULINA, lr=LearningRate(c=1.0))
+    V = krasulina_update(v, x, 0.2)
+    assert np.linalg.norm(V) > RENORM_THRESHOLD
+    assert np.array_equal(krasulina_step(state, x).V, V / np.linalg.norm(V))
+
+
 def test_oja_state_requires_unit_norm():
     lr = LearningRate(c=1.0, n_o=0)
     with pytest.raises(ValueError):
@@ -246,6 +264,17 @@ class TestBlockOja:
             assert np.array_equal(bstate.V, kept)
             assert not np.shares_memory(nxt.V, bstate.V)
             bstate = nxt
+
+    def test_a_nan_frame_is_rejected(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            BlockState(V=np.full((4, 2), np.nan), n=0, lr=LearningRate(c=1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_sample_raises(self, bad):
+        V = np.linalg.qr(np.random.default_rng(53).standard_normal((4, 2)))[0]
+        bstate = BlockState(V=V, n=0, lr=LearningRate(c=1.0))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="orthonormal"):
+            block_oja_step(bstate, np.array([0.5, bad, 0.0, 1.0]))
 
     def test_collapse_is_repaired_and_counted(self):
         from incpca.estimators import _mgs

@@ -139,6 +139,29 @@ def test_chunk_rows_do_not_depend_on_the_split(T):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_step_major_chunk_holds_the_same_bits_as_a_trial_major_one(workers):
+    # _draw_rows fills the strided (T, m, d) view through a scratch block per
+    # thread; clip radius below the trace, so the rejection loop runs
+    dist = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
+    T, m = 7, 50
+    ref = np.empty((T, m, dist.d))
+    harness._draw_rows(ref, dist, [trial_rng(3, t) for t in range(T)], m, 1)
+    X = np.full((m, T, dist.d), np.nan).transpose(1, 0, 2)
+    harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], m, workers)
+    assert np.array_equal(X, ref)
+
+
+@pytest.mark.parametrize("dist", [GAUSS, DIST], ids=["gaussian", "coordinate"])
+def test_trajectories_steps_through_one_chunk_layout_per_source(dist):
+    V, _, rngs = harness.init_states(dist, "oja", "random_unit", None, 0, range(5))
+    steps = harness.trajectories(dist, "oja", 1.0, 0, CHUNK + 3, V, rngs)
+    contiguous = {x.flags.c_contiguous for _, _, x, _, _ in steps}
+    # Gaussian samples are one contiguous (T, d) block per step; coordinate
+    # samples a strided view of the trial-major chunk
+    assert contiguous == {dist is GAUSS}
+
+
 @pytest.mark.parametrize("rule", ["krasulina", "oja"])
 @pytest.mark.parametrize("dist", [GAUSS, ROTATED], ids=["gaussian", "rotated"])
 def test_simulate_does_not_depend_on_the_cpu_count(monkeypatch, dist, rule):

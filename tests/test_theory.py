@@ -12,7 +12,6 @@ from incpca.theory import (
     always_good_bound,
     beta_step,
     epoch_schedule,
-    heuristic_rate,
     krasulina_bound,
     mgf_bound,
     solve_recurrence,
@@ -68,16 +67,6 @@ def test_beta_step_both_rules():
     )
     with pytest.raises(ValueError):
         beta_step("nope", 0.1, 1.0)
-
-
-def test_heuristic_rate_formula():
-    # (d-1)/n^(2 c (lambda1 - lambda2))
-    out = heuristic_rate(1.0, 0.5, 0.25, 4, 100)
-    assert out == pytest.approx(3.0 / 100**0.5, rel=1e-12)
-    ns = np.array([10.0, 100.0, 1000.0])
-    vals = heuristic_rate(1.0, 0.5, 0.25, 4, ns)
-    slopes = np.diff(np.log(vals)) / np.diff(np.log(ns))
-    assert np.allclose(slopes, -0.5)
 
 
 def test_always_good_bound_frozen_values():

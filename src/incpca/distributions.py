@@ -181,24 +181,29 @@ class GaussianSpectrum:
     def sample_block(self, rng, m, return_rejections: bool = False, out=None):
         """(m, d) block of i.i.d. draws, written into `out` when given.
 
-        `out` must be a C- or Fortran-contiguous float64 array of shape
-        (m, d); the draws and their order are the same either way.
+        `out` may be any float64 array of shape (m, d), strided too; the
+        draws and their order are the same either way.
         """
+        if out is not None and out.shape != (m, self.d):
+            raise ValueError("out must have shape (m, d)")
         scale = np.sqrt(self.eigenvalues)
-        if out is None:
-            out = np.empty((m, self.d))
-        rng.standard_normal((m, self.d), out=out)
-        out *= scale
+        # standard_normal(out=) needs a contiguous buffer
+        block = out if out is not None and out.flags.forc else np.empty((m, self.d))
+        rng.standard_normal((m, self.d), out=block)
+        block *= scale
         rejected = 0
         while True:
-            bad = np.einsum("ij,ij->i", out, out) > self.clip_radius
+            bad = np.einsum("ij,ij->i", block, block) > self.clip_radius
             nbad = int(bad.sum())
             if nbad == 0:
                 break
             rejected += nbad
-            out[bad] = rng.standard_normal((nbad, self.d)) * scale
+            block[bad] = rng.standard_normal((nbad, self.d)) * scale
         if self.rotation is not None:
-            out[...] = out @ self.rotation.T
+            block[...] = block @ self.rotation.T
+        out = block if out is None else out
+        if out is not block:
+            out[...] = block
         if return_rejections:
             return out, rejected
         return out

@@ -68,6 +68,22 @@ class LearningRate:
         return self.c / n
 
 
+def _checked_norm(V: np.ndarray, rule: str) -> float:
+    """|V|, raising for a V that is no valid state of `rule`.
+
+    V must have a finite, nonzero squared norm (a nan or inf entry, or
+    entries so large that it overflows, make it non-finite), and an Oja V
+    unit norm.  EstimatorState and the step functions run these checks.
+    """
+    nsq = float(V.dot(V))
+    if not (math.isfinite(nsq) and nsq > 0.0):
+        raise ValueError("state vector must be finite and nonzero")
+    norm = math.sqrt(nsq)
+    if rule == OJA and abs(norm - 1.0) > 1e-12:
+        raise ValueError("Oja state must have unit norm")
+    return norm
+
+
 @dataclass(frozen=True)
 class EstimatorState:
     V: np.ndarray
@@ -78,12 +94,9 @@ class EstimatorState:
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
         object.__setattr__(self, "V", V)
-        if not np.all(np.isfinite(V)) or float(V @ V) == 0.0:
-            raise ValueError("state vector must be finite and nonzero")
+        _checked_norm(V, self.rule)
         if self.rule not in (KRASULINA, OJA):
             raise ValueError(f"unknown rule {self.rule!r}")
-        if self.rule == OJA and abs(float(np.linalg.norm(V)) - 1.0) > 1e-12:
-            raise ValueError("Oja state must have unit norm")
 
 
 def _increment(v: np.ndarray, x: np.ndarray, nsq) -> np.ndarray:
@@ -134,18 +147,6 @@ def oja_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     return W / norms[..., None]
 
 
-def _checked_norm(V: np.ndarray) -> float:
-    """|V|, raising as EstimatorState does for a non-finite or zero V.
-
-    One squared norm serves both: a nan or inf entry makes it non-finite,
-    and np.linalg.norm of a vector is sqrt(V.dot(V)), so the bits agree.
-    """
-    nsq = float(V.dot(V))
-    if not (math.isfinite(nsq) and nsq > 0.0):
-        raise ValueError("state vector must be finite and nonzero")
-    return math.sqrt(nsq)
-
-
 def _successor(state: EstimatorState, V: np.ndarray, n: int) -> EstimatorState:
     """`state` advanced to (V, n); the step functions have run its checks on V."""
     succ = object.__new__(EstimatorState)
@@ -158,7 +159,7 @@ def krasulina_step(state: EstimatorState, x) -> EstimatorState:
         raise ValueError("state is not a Krasulina state")
     n = state.n + 1
     V = krasulina_update(state.V, np.asarray(x, dtype=float), state.lr.gamma(n))
-    norm = _checked_norm(V)
+    norm = _checked_norm(V, KRASULINA)
     if norm > RENORM_THRESHOLD:
         V = V / norm
     return _successor(state, V, n)
@@ -169,8 +170,7 @@ def oja_step(state: EstimatorState, x) -> EstimatorState:
         raise ValueError("state is not an Oja state")
     n = state.n + 1
     V = oja_update(state.V, np.asarray(x, dtype=float), state.lr.gamma(n))
-    if abs(_checked_norm(V) - 1.0) > 1e-12:
-        raise ValueError("Oja state must have unit norm")
+    _checked_norm(V, OJA)
     return _successor(state, V, n)
 
 

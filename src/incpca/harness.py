@@ -14,11 +14,12 @@ advanced in lockstep as rows of a (trials, d) array, which keeps the
 per-step cost at a handful of vectorized operations.  Each trial still
 draws from its own counter-based stream, so any trial's trajectory is a
 pure function of (master_seed, trial_id) and is identical whether the
-trial runs alone or inside a batch.  A Gaussian chunk is filled on every
-CPU the process may use (`_draw_rows`); a trial's stream is read by one
-thread only, so its draws are identical whichever thread makes them.  A
-Gaussian chunk is held step-major, so each step reads its samples as one
-contiguous (trials, d) block; a coordinate chunk stays trial-major.
+trial runs alone or inside a batch.  Every chunk is held step-major, so
+each step reads its samples as one contiguous (trials, d) block, and is
+filled on every CPU the process may use (`_draw_rows`); a trial's stream
+is read by one thread only, so its draws are identical whichever thread
+makes them.  `step_batches` groups a run's steps for the batched
+potential and pathwise checks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import estimators, linalg
-from .distributions import CoordinateDistribution, GaussianSpectrum, trial_rng
+from .distributions import CoordinateDistribution, trial_rng
 from .estimators import KRASULINA, OJA, RENORM_THRESHOLD, InitError
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "simulate",
     "init_states",
     "trajectories",
+    "step_batches",
     "run_experiment",
     "estimate_slope",
     "counterexample_experiment",
@@ -58,7 +60,8 @@ __all__ = [
 # trial's draw sequence) never depend on runtime conditions
 CHUNK = 2048
 ROWS = 4096  # (step, trial) rows per call of the potential and pathwise checks
-# CPUs this process may run on: the threads that fill a Gaussian chunk
+TRAP_THRESHOLD = 0.99  # a final potential above this counts as trapped
+# CPUs this process may run on: the threads that fill a chunk
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -139,24 +142,18 @@ def init_states(dist, rule, init_mode, init_k, master_seed, trial_ids):
 def _draw_rows(X, dist, rngs, m, workers):
     """Fill row r of the (T, m, d) array X with m draws from rngs[r].
 
-    X may be a view whose rows are strided (the trial-major view of a
-    step-major chunk): each thread then draws a row into one contiguous
-    scratch block of its own, because Gaussian `out=` must be contiguous,
-    and copies it into the row.  The rows are cut into `workers`
-    contiguous parts: worker threads fill parts 2..k while the calling
-    thread fills part 1.  A row reads only its own generator, and no
-    generator is used by two threads, so X is bitwise the same for any
-    `workers`.  A part's exception is raised after every part has finished.
+    X[r] may be strided (a trial's column of a step-major chunk); each is
+    filled by one `sample_block(..., out=X[r])` call.  The rows are cut
+    into `workers` contiguous parts: worker threads fill parts 2..k while
+    the calling thread fills part 1.  A row reads only its own generator,
+    and no generator is used by two threads, so X is bitwise the same for
+    any `workers`.  A part's exception is raised after every part has
+    finished.
     """
 
     def fill(rows):
-        if X[0].flags.c_contiguous:
-            for row in rows:
-                dist.sample_block(rngs[row], m, out=X[row])
-            return
-        block = np.empty(X.shape[1:])
         for row in rows:
-            X[row] = dist.sample_block(rngs[row], m, out=block)
+            dist.sample_block(rngs[row], m, out=X[row])
 
     T = len(rngs)
     workers = min(workers, T)
@@ -180,28 +177,22 @@ def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
     step n uses gamma_n = c/n.  Yields (n, gamma, x, V_prev, V) after each
     step n = n_o+1 .. horizon, where x holds the rows' samples.  Yielded
     arrays are never written to afterwards: a Krasulina renormalization
-    (at the end of a chunk) replaces the state with a new array.  Gaussian
-    chunks are drawn on CPUS threads; a coordinate row is a few GIL-bound
-    numpy calls, which gain nothing from a split, so those stay on one.
+    (at the end of a chunk) replaces the state with a new array.
 
-    A Gaussian chunk is held step-major, (m, T, d), so that step i reads
-    its samples X[i] as one contiguous (T, d) block and `x` is C-contiguous.
-    A coordinate chunk stays trial-major, (T, m, d), and is stepped through
-    a transposed view: its rows are drawn in place, and at its batch sizes
-    the copy into a step-major chunk costs what the contiguous step saves.
+    Each chunk is held step-major, (m, T, d), so that step i reads its
+    samples X[i] as one contiguous (T, d) block; it is drawn on CPUS
+    threads, each trial straight into its strided column.
     """
     if rule not in (KRASULINA, OJA):
         raise ValueError(f"unknown rule {rule!r}")
     update = estimators.krasulina_update if rule == KRASULINA else estimators.oja_update
-    dense = isinstance(dist, GaussianSpectrum)
-    workers = CPUS if dense else 1
     T, d = V.shape
     n = n_o
     while n < horizon:
         m = min(CHUNK, horizon - n)
         # X[i] holds step i's samples; X.transpose(1, 0, 2)[r] is trial r's block
-        X = np.empty((m, T, d)) if dense else np.empty((T, m, d)).transpose(1, 0, 2)
-        _draw_rows(X.transpose(1, 0, 2), dist, rngs, m, workers)
+        X = np.empty((m, T, d))
+        _draw_rows(X.transpose(1, 0, 2), dist, rngs, m, CPUS)
         for i in range(m):
             n += 1
             gamma = c / n
@@ -217,6 +208,18 @@ def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
             if big.any():
                 V = V.copy()
                 V[big] /= norms[big, None]
+
+
+def step_batches(steps, trials: int):
+    """Consecutive items of `steps` in lists of max(1, ROWS // trials).
+
+    The last list may be shorter; each list holds about ROWS (step, trial)
+    rows for one batched potential or pathwise call.
+    """
+    steps = iter(steps)
+    size = max(1, ROWS // trials)
+    while batch := list(itertools.islice(steps, size)):
+        yield batch
 
 
 def _oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid):
@@ -316,19 +319,12 @@ def simulate(
     else:
         steps = ((n, V) for n, _, _, _, V in trajectories(dist, rule, c, n_o, horizon, V, rngs))
     max_psi = np.zeros(len(trial_ids)) if track_max else None
-    per_call = max(1, ROWS // len(trial_ids))
-    ns, states = [], []
-    for n, V in itertools.chain([(n_o, V)], steps):
-        if not (track_max or n in recorded):
-            continue
-        ns.append(n)
-        states.append(V)
-        if len(ns) == per_call or n == read_at[-1]:
-            rows = linalg.potential(np.stack(states), v_star)  # (steps, trials)
-            if track_max:
-                np.maximum(max_psi, rows.max(axis=0), out=max_psi)
-            recorded.update((m, row) for m, row in zip(ns, rows) if m in recorded)
-            ns, states = [], []
+    kept = (s for s in itertools.chain([(n_o, V)], steps) if track_max or s[0] in recorded)
+    for batch in step_batches(kept, len(trial_ids)):
+        rows = linalg.potential(np.stack([V for _, V in batch]), v_star)  # (steps, trials)
+        if track_max:
+            np.maximum(max_psi, rows.max(axis=0), out=max_psi)
+        recorded.update((n, row) for (n, _), row in zip(batch, rows) if n in recorded)
     psi = np.stack([recorded[n] for n in read_at], axis=1)
     return SimResult(grid=grid, psi=psi, failed=failed, max_psi=max_psi)
 
@@ -413,9 +409,8 @@ def counterexample_experiment(
     rule: str = KRASULINA,
     c: float = 1.0,
     init_k: int | None = None,
-    threshold: float = 0.99,
 ):
-    """Fraction of trials whose final potential exceeds the trap threshold.
+    """Fraction of trials whose final potential exceeds TRAP_THRESHOLD.
 
     Trials whose initialization fails outright (exact zero average) are
     counted as trapped: the cancellation that zeroes the init is the same
@@ -431,9 +426,10 @@ def counterexample_experiment(
         master_seed=master_seed,
         init_mode=init_mode,
         init_k=init_k,
+        grid=[horizon],
     )
     final = res.psi[:, -1]
-    wrong = np.where(res.failed, True, final > threshold)
+    wrong = np.where(res.failed, True, final > TRAP_THRESHOLD)
     frac = float(wrong.mean())
     se = math.sqrt(frac * (1.0 - frac) / trials)
     return frac, se

@@ -83,11 +83,12 @@ def potential(V, v_star):
     """
     V = np.asarray(V, dtype=float)
     v_star = _as_vector(v_star)
-    if not np.all(np.isfinite(V)):
-        raise ValueError("state has non-finite entries")
     if abs(float(np.einsum("i,i->", v_star, v_star)) - 1.0) > 1e-10:
         raise ValueError("v_star must be a unit vector")
+    # a nan or inf entry, or an overflowing one, makes its squared norm non-finite
     nsq = np.einsum("...i,...i->...", V, V)
+    if not np.all(np.isfinite(nsq)):
+        raise ValueError("state has a non-finite squared norm")
     if np.any(nsq == 0.0):
         raise ValueError("potential undefined for the zero vector")
     # V - (V.v*) v* in one buffer: a stack's temporaries are large

@@ -271,15 +271,11 @@ def check_pathwise(
         raise InitError(f"trial {int(np.flatnonzero(failed)[0])}: zero initial vector")
 
     violations, detail, last = 0, "", (None, None)
-    batch_steps = max(1, harness.ROWS // trials)
-    batch = []
-    for step in harness.trajectories(dist, rule, c, 0, steps, V, rngs):
-        batch.append(step)
-        if len(batch) == batch_steps or step[0] == steps:
-            bad, found, last = _pathwise_violations(rule, v_star, B, trials, batch, last)
-            violations += bad
-            detail = detail or found
-            batch = []
+    run = harness.trajectories(dist, rule, c, 0, steps, V, rngs)
+    for batch in harness.step_batches(run, trials):
+        bad, found, last = _pathwise_violations(rule, v_star, B, trials, batch, last)
+        violations += bad
+        detail = detail or found
 
     total = steps * trials
     return CheckReport(

@@ -129,24 +129,29 @@ def _allocating_gaussian_block(dist, rng, m):
 )
 def test_sample_block_into_out_returns_out_with_the_same_bits(dist):
     ref = dist.sample_block(np.random.default_rng(6), 300)
-    buf = np.full((300, dist.d), np.nan)  # every entry must be written
-    assert dist.sample_block(np.random.default_rng(6), 300, out=buf) is buf
-    assert np.array_equal(buf, ref)
+    chunk = np.full((300, 3, dist.d), np.nan)  # every entry must be written
+    # a contiguous block, and one trial's strided column of a step-major chunk
+    for buf in (np.full((300, dist.d), np.nan), chunk[:, 1]):
+        assert dist.sample_block(np.random.default_rng(6), 300, out=buf) is buf
+        assert np.array_equal(buf, ref)
+    assert np.isnan(chunk[:, [0, 2]]).all()  # the other columns are untouched
 
 
 def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
     ref, ref_rejected = _allocating_gaussian_block(CLIPPED, np.random.default_rng(7), 400)
     assert ref_rejected > 0
     x, rejected = CLIPPED.sample_block(np.random.default_rng(7), 400, return_rejections=True)
-    buf = np.empty((400, 3))
-    y, out_rejected = CLIPPED.sample_block(
-        np.random.default_rng(7), 400, return_rejections=True, out=buf
-    )
-    assert y is buf
-    assert rejected == out_rejected == ref_rejected
-    assert np.array_equal(x, ref) and np.array_equal(y, ref)
-    with pytest.raises(ValueError):
-        CLIPPED.sample_block(np.random.default_rng(7), 399, out=buf)
+    assert rejected == ref_rejected and np.array_equal(x, ref)
+    # a contiguous block, and one trial's strided column of a step-major chunk
+    for buf in (np.empty((400, 3)), np.empty((400, 5, 3))[:, 2]):
+        y, out_rejected = CLIPPED.sample_block(
+            np.random.default_rng(7), 400, return_rejections=True, out=buf
+        )
+        assert y is buf
+        assert out_rejected == ref_rejected
+        assert np.array_equal(y, ref)
+        with pytest.raises(ValueError):
+            CLIPPED.sample_block(np.random.default_rng(7), 399, out=buf)
 
 
 def test_random_unit_vectors_are_unit_norm():

@@ -154,6 +154,9 @@ def test_step_rejects_a_sample_that_makes_the_state_non_finite(rule, bad):
     state = EstimatorState(V=np.array([0.6, 0.8]), n=0, rule=rule, lr=LearningRate(c=1.0))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite and nonzero"):
         step(state, np.array([bad, 1.0]))
+    # the constructor runs the same checks (1e200 squared overflows)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite and nonzero"):
+        EstimatorState(V=np.array([bad, bad]), n=0, rule=rule, lr=LearningRate(c=1.0))
 
 
 def test_krasulina_renormalizes_a_state_past_the_threshold():

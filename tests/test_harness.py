@@ -125,24 +125,25 @@ def test_simulate_matches_single_state_reference(dist, rule):
 @pytest.mark.parametrize("T", [1, 7])
 def test_chunk_rows_do_not_depend_on_the_split(T):
     # clip radius below the trace, so the rejection loop runs on most rows
-    dist = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
-    assert dist.sample_block(trial_rng(3, 0), 50, return_rejections=True)[1] > 0
-    ref = np.stack([dist.sample_block(trial_rng(3, t), 50) for t in range(T)])
+    gauss = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
+    assert gauss.sample_block(trial_rng(3, 0), 50, return_rejections=True)[1] > 0
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for workers in (1, 2, 3):  # T=7 over 2 or 3 parts is uneven
-            X = np.full((T, 50, dist.d), np.nan)
-            harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], 50, workers)
-            assert np.array_equal(X, ref), workers
+        for dist in (gauss, DIST):
+            ref = np.stack([dist.sample_block(trial_rng(3, t), 50) for t in range(T)])
+            for workers in (1, 2, 3):  # T=7 over 2 or 3 parts is uneven
+                X = np.full((T, 50, dist.d), np.nan)
+                harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], 50, workers)
+                assert np.array_equal(X, ref), (dist, workers)
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_step_major_chunk_holds_the_same_bits_as_a_trial_major_one(workers):
-    # _draw_rows fills the strided (T, m, d) view through a scratch block per
-    # thread; clip radius below the trace, so the rejection loop runs
+    # _draw_rows fills the strided (T, m, d) view of a step-major chunk;
+    # clip radius below the trace, so the rejection loop runs
     dist = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
     T, m = 7, 50
     ref = np.empty((T, m, dist.d))
@@ -157,13 +158,14 @@ def test_trajectories_steps_through_one_chunk_layout_per_source(dist):
     V, _, rngs = harness.init_states(dist, "oja", "random_unit", None, 0, range(5))
     steps = harness.trajectories(dist, "oja", 1.0, 0, CHUNK + 3, V, rngs)
     contiguous = {x.flags.c_contiguous for _, _, x, _, _ in steps}
-    # Gaussian samples are one contiguous (T, d) block per step; coordinate
-    # samples a strided view of the trial-major chunk
-    assert contiguous == {dist is GAUSS}
+    # every source's samples are one contiguous (T, d) block per step
+    assert contiguous == {True}
 
 
 @pytest.mark.parametrize("rule", ["krasulina", "oja"])
-@pytest.mark.parametrize("dist", [GAUSS, ROTATED], ids=["gaussian", "rotated"])
+@pytest.mark.parametrize(
+    "dist", [GAUSS, ROTATED, DIST], ids=["gaussian", "rotated", "coordinate"]
+)
 def test_simulate_does_not_depend_on_the_cpu_count(monkeypatch, dist, rule):
     runs = []
     for cpus in (1, 2, 3):
@@ -200,6 +202,38 @@ def test_krasulina_records_small_potentials_as_positive():
     res = simulate(dist, "krasulina", 11.25, 0, 5000, 10, 1)
     assert res.psi.min() > 0.0
     assert res.psi[:, -1].min() < 1e-16  # where 1 - (v.v*)^2/|v|^2 reads 0
+
+
+# eigenvalues 1, 0.5/k for k = 1..4 (the gauss_wide spectrum cut to d = 5)
+GAUSS_5 = GaussianSpectrum(eigenvalues=np.array([1.0] + [0.5 / k for k in range(1, 5)]))
+
+
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+def test_gaussian_potential_reaches_its_one_over_n_constant(rule):
+    # Linearize either rule at v* = e_1 for N(0, diag(lam)) with gamma_n = c/n:
+    # the off-axis coordinate w_j of the unit state follows
+    #   w_j <- (1 - gamma (lam_1 - lam_j)) w_j + gamma x_1 x_j,
+    # and E[(x_1 x_j)^2] = lam_1 lam_j, so to first order
+    #   E[w_j^2] <- (1 - 2 gamma (lam_1 - lam_j)) E[w_j^2] + gamma^2 lam_1 lam_j.
+    # Put n E[w_j^2] -> C_j: C_j = c^2 lam_1 lam_j / (2c (lam_1 - lam_j) - 1)
+    # when 2c (lam_1 - lam_j) > 1, and Psi = sum_j w_j^2 to leading order, so
+    # n E[Psi_n] -> C = sum_{j >= 2} C_j (Kushner & Yin, Stochastic
+    # Approximation and Recursive Algorithms and Applications, 2003).  Here
+    # c_o = 4 gives c = 4 and C = 4.27.  (On coordinate data x_1 x_j = 0, so
+    # C = 0 and the potential falls like n^(-c_o) instead.)
+    lam = GAUSS_5.eigenvalues
+    c = 4.0 / (2.0 * (lam[0] - lam[1]))
+    C = float(np.sum(c**2 * lam[0] * lam[1:] / (2.0 * c * (lam[0] - lam[1:]) - 1.0)))
+    assert C == pytest.approx(4.27, abs=0.01)
+    trials, horizon = 200, 20_000
+    res = simulate(GAUSS_5, rule, c, 0, horizon, trials, 0, grid=[horizon])
+    scaled = horizon * res.psi[:, -1]
+    se = scaled.std(ddof=1) / np.sqrt(trials)
+    # 3 standard errors over the trials, plus 5% of C for what the
+    # linearization drops: terms of relative order c/n and Psi (both about
+    # 2e-4 at the horizon), the mass the clip at 10 * trace removes (below
+    # 1e-5) and the start-up transient, which decays like n^-3 against C/n
+    assert abs(scaled.mean() - C) <= 3.0 * se + 0.05 * C, (scaled.mean(), se)
 
 
 @pytest.mark.parametrize(

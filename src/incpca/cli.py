@@ -82,11 +82,15 @@ def _add_dist_args(p):
     p.add_argument("--clip-radius", type=float, default=0.0, help="0 = 10*trace default")
 
 
-def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+def build_parser(
+    config: dict[str, str] | None = None, required: bool = True
+) -> argparse.ArgumentParser:
     """The parser; `config` values become each subcommand's defaults.
 
     A default from `config` is converted by its flag's type and checked
     against its flag's choices when the subcommand parses without that flag.
+    A flag that `config` supplies is no longer required, and with
+    `required=False` none is: that parser only finds --config.
     """
     ap = _Parser(prog="incpca", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -148,9 +152,11 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     ver.add_argument("--trials", type=int, default=50)
     ver.add_argument("--steps", type=int, default=2000)
 
+    config = config or {}
     for p in sub.choices.values():
-        dests = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in dests})
+        p.set_defaults(**{a.dest: config[a.dest] for a in p._actions if a.dest in config})
+        for a in p._actions:
+            a.required = a.required and required and a.dest not in config
     return ap
 
 
@@ -282,9 +288,9 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        args = build_parser().parse_args(argv)
-        if args.config:
-            args = build_parser(_load_config_file(args.config)).parse_args(argv)
+        config_path = build_parser(required=False).parse_args(argv).config
+        config = _load_config_file(config_path) if config_path else None
+        args = build_parser(config).parse_args(argv)
         return handlers[args.command](args)
     # bad flags and input (including estimators.InitError), unreadable or unwritable files
     except (ValueError, OSError) as exc:

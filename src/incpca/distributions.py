@@ -95,7 +95,22 @@ class CoordinateDistribution:
 
     def sample_block(self, rng: np.random.Generator, m: int, out=None) -> np.ndarray:
         """(m, d) block of i.i.d. draws, written into `out` when given."""
-        coords, signs = self.draw_support(rng, m)
+        return self._scatter(*self.draw_support(rng, m), out)
+
+    def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
+        """Blocks of at most `size` rows that concatenate to sample_block(rng, n).
+
+        The support of all n draws is drawn at once (an index and a sign per
+        sample), so the stream is consumed as by one sample_block call; only
+        one dense block is built at a time.
+        """
+        coords, signs = self.draw_support(rng, n)
+        for a in range(0, n, size):
+            yield self._scatter(coords[a : a + size], signs[a : a + size])
+
+    def _scatter(self, coords, signs, out=None) -> np.ndarray:
+        """The dense (m, d) rows of a support draw, written into `out` when given."""
+        m = coords.size
         if out is None:
             out = np.zeros((m, self.d))
         else:
@@ -106,7 +121,8 @@ class CoordinateDistribution:
     def draw_support(self, rng: np.random.Generator, m: int):
         """Compact draw of m samples: coordinate indices (0-based) and signs.
 
-        `sample_block` is built from it, so both consume the stream alike.
+        `sample_block` and `sample_blocks` are built from it, so all three
+        consume the stream alike.
         """
         u = rng.random(m)
         coords = np.empty(m, dtype=np.intp)
@@ -207,6 +223,16 @@ class GaussianSpectrum:
         if return_rejections:
             return out, rejected
         return out
+
+    def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
+        """Blocks of at most `size` rows that concatenate to sample_block(rng, n).
+
+        They are slices of one sample_block(rng, n) draw: a rejection redraws
+        from the stream, so drawing block by block would change the draws.
+        """
+        block = self.sample_block(rng, n)
+        for a in range(0, n, size):
+            yield block[a : a + size]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_block(rng, 1)[0]

@@ -13,6 +13,13 @@ threshold corrects for these rates.  The pathwise check replays
 `harness.trajectories`, the engine (and so the update kernels) that the
 experiments run, and takes xi and Z from `estimators.xi` /
 `estimators.z_increment`.
+
+The Monte Carlo checks hold one block of at most _BLOCK samples at a time,
+not the sample matrix; the xi and z checks also hold the compact support of
+a coordinate draw (an index and a sign per sample), so that they see the
+draws of one `sample_block` call.  Their block moments are merged, so above
+_BLOCK samples their values differ from a one-shot mean and standard
+deviation in the last bits only.
 """
 
 from __future__ import annotations
@@ -73,6 +80,34 @@ def _require_samples(n_samples: int) -> None:
         raise ValueError("need at least 2 samples")
 
 
+def _sample_moments(dist, n_samples: int, rng, stat):
+    """Mean and standard error of stat(X), per column, over n_samples draws.
+
+    The draws are those of one dist.sample_block(rng, n_samples) call, taken
+    in blocks of at most _BLOCK rows.  Each block's mean and sum of squared
+    deviations is merged by the pairwise update of Chan, Golub & LeVeque
+    (1979).  The first block is taken as it is, so a single block gives the
+    bits of stat(X).mean(axis=0) and stat(X).std(axis=0, ddof=1) / sqrt(n).
+    """
+    seen = 0
+    for X in dist.sample_blocks(rng, n_samples, _BLOCK):
+        ys = stat(X)
+        m = ys.shape[0]
+        block_mean = ys.mean(axis=0)
+        dev = ys - block_mean
+        dev *= dev
+        block_m2 = dev.sum(axis=0)
+        if seen == 0:
+            mean, m2 = block_mean, block_m2
+        else:
+            delta = block_mean - mean
+            total = seen + m
+            mean = mean + delta * (m / total)
+            m2 = m2 + block_m2 + delta * delta * (seen * m / total)
+        seen += m
+    return mean, np.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+
+
 def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     """E[xi | v] against A v - G(v) v, per coordinate.
 
@@ -83,10 +118,7 @@ def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     v = np.asarray(v, dtype=float)
     A = dist.covariance()
     ref = A @ v - linalg.rayleigh_quotient(A, v) * v
-    X = dist.sample_block(rng, n_samples)
-    xs = estimators.xi(v, X)
-    mean = xs.mean(axis=0)
-    se = xs.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    mean, se = _sample_moments(dist, n_samples, rng, lambda X: estimators.xi(v, X))
     z = np.abs(mean - ref) / np.where(se > 0, se, 1.0)
     # coordinates with zero sample variance must match exactly
     exact_bad = np.any((se == 0) & (np.abs(mean - ref) > 1e-12))
@@ -118,10 +150,10 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     psi = linalg.potential(v, gt.v_star)
     lower = 2.0 * gamma * gt.gap * psi * (1.0 - psi)
 
-    X = dist.sample_block(rng, n_samples)
-    zs = estimators.z_increment(v, X, gamma, gt.v_star)
-    mean = float(zs.mean())
-    se = float(zs.std(ddof=1)) / math.sqrt(n_samples)
+    mean, se = _sample_moments(
+        dist, n_samples, rng, lambda X: estimators.z_increment(v, X, gamma, gt.v_star)
+    )
+    mean, se = float(mean), float(se)
     two_sided = abs(mean - ref) <= 3.0 * max(se, 1e-15)
     lower_ok = ref >= lower - 1e-12 * max(1.0, abs(ref))
     return CheckReport(
@@ -136,6 +168,32 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     )
 
 
+def _span_residual(V, x, V_new, nsq, norm_new):
+    """Norm of V_new's residual outside span(V, x), per row, and its tolerance.
+
+    The basis and the residual are built in place: at a few trials a
+    batch's (rows, d) arrays are a large share of the sample chunk that is
+    held beside them.
+    """
+    b1 = V / np.sqrt(nsq)[:, None]
+    b2 = np.einsum("ij,ij->i", b1, x)[:, None] * b1
+    np.subtract(x, b2, out=b2)  # x_perp, normalized in place below
+    xp_norm = np.linalg.norm(b2, axis=1)
+    safe = np.where(xp_norm > 1e-300, xp_norm, 1.0)
+    b2 /= safe[:, None]
+    b1 *= np.einsum("ij,ij->i", b1, V_new)[:, None]
+    resid = np.subtract(V_new, b1, out=b1)
+    b2 *= np.einsum("ij,ij->i", b2, V_new)[:, None]
+    resid -= b2
+    del b2
+    # when x is nearly parallel to V the b2 basis vector loses
+    # about eps * |x| / |x_perp| digits, so the tolerance has to
+    # carry that conditioning factor
+    cond = np.linalg.norm(x, axis=1) / safe
+    span_tol = (1e-10 + 100.0 * np.finfo(float).eps * cond) * norm_new
+    return np.linalg.norm(resid, axis=1), span_tol
+
+
 def _pathwise_violations(rule, v_star, B, trials, batch, last):
     """Count invariant violations over a batch of engine steps.
 
@@ -144,7 +202,8 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
     very array reuses its potential, and only a new array (the initial
     states, a Krasulina renormalization) is scored afresh.  Returns the
     violation count, the detail of the first offending row (or "" when
-    there is none) and the batch's own last (V, potential) pair.
+    there is none) and the batch's own last (V, potential) pair.  `batch`
+    is emptied once its arrays are stacked, so that they are not held twice.
     """
     gamma = np.repeat([b[1] for b in batch], trials)
     beta = np.repeat([theory.beta_step(rule, b[1], B) for b in batch], trials)
@@ -155,6 +214,8 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
         rows = slice(i * trials, (i + 1) * trials)
         psi[rows] = last[1] if V_prev is last[0] else linalg.potential(V_prev, v_star)
         last = V_next, psi_new[rows]
+    ns = [b[0] for b in batch]
+    batch.clear()
     violations = 0
     first = []  # (row, kind, quantities) of each violated kind's first row
 
@@ -170,6 +231,7 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
     xi = estimators.xi(V, x)
     xi_nsq = np.einsum("ij,ij->i", xi, xi)
     xi_dot_v = np.einsum("ij,ij->i", xi, V)
+    del xi
     Z = estimators.z_increment(V, x, gamma, v_star)
 
     # xi.V cancels two terms of magnitude (V.x)^2, so that is the
@@ -209,23 +271,7 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
             np.linalg.norm(V_new - V, axis=1) > 1e-12 * np.sqrt(nsq)
         ) & zero_dot
         flag("orthogonal-input no-op", moved, {"dot": dot})
-    # span containment: residual of V_new outside span(V, x)
-    b1 = V / np.sqrt(nsq)[:, None]
-    x_perp = x - np.einsum("ij,ij->i", b1, x)[:, None] * b1
-    xp_norm = np.linalg.norm(x_perp, axis=1)
-    safe = np.where(xp_norm > 1e-300, xp_norm, 1.0)
-    b2 = x_perp / safe[:, None]
-    resid = (
-        V_new
-        - np.einsum("ij,ij->i", b1, V_new)[:, None] * b1
-        - np.einsum("ij,ij->i", b2, V_new)[:, None] * b2
-    )
-    # when x is nearly parallel to V the b2 basis vector loses
-    # about eps * |x| / |x_perp| digits, so the tolerance has to
-    # carry that conditioning factor
-    cond = np.linalg.norm(x, axis=1) / safe
-    span_tol = (1e-10 + 100.0 * np.finfo(float).eps * cond) * norm_new
-    resid_norm = np.linalg.norm(resid, axis=1)
+    resid_norm, span_tol = _span_residual(V, x, V_new, nsq, norm_new)
     flag("span containment", resid_norm > span_tol, {"resid": resid_norm})
 
     if not first:
@@ -233,10 +279,22 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
     # the earliest step wins; within a step, the first kind checked
     r, kind, quantities = min(first, key=lambda f: f[0] // trials)
     return violations, (
-        f"{kind} at step n={batch[r // trials][0]} trial={r % trials}: "
+        f"{kind} at step n={ns[r // trials]} trial={r % trials}: "
         f"V={V[r].tolist()} "
         f"{ {k: float(np.asarray(q)[r]) for k, q in quantities.items()} }"
     ), last
+
+
+def _owned_samples(run):
+    """The steps of `run`, each x copied out of its sample chunk.
+
+    A batch of `harness.step_batches` holds up to ROWS // trials steps.
+    Holding views, a batch that spans a chunk boundary would keep the old
+    chunk alive while `harness.trajectories` draws the next one.
+    """
+    for n, gamma, x, V_prev, V in run:
+        x = x.copy()  # drops the view before the next step is asked for
+        yield n, gamma, x, V_prev, V
 
 
 def check_pathwise(
@@ -271,7 +329,7 @@ def check_pathwise(
         raise InitError(f"trial {int(np.flatnonzero(failed)[0])}: zero initial vector")
 
     violations, detail, last = 0, "", (None, None)
-    run = harness.trajectories(dist, rule, c, 0, steps, V, rngs)
+    run = _owned_samples(harness.trajectories(dist, rule, c, 0, steps, V, rngs))
     for batch in harness.step_batches(run, trials):
         bad, found, last = _pathwise_violations(rule, v_star, B, trials, batch, last)
         violations += bad

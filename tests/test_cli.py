@@ -129,6 +129,20 @@ def test_a_bad_config_choice_is_checked_only_where_it_is_used(tmp_path):
     assert main([*sched, "--c", "1", "--out", str(tmp_path / "s.csv")]) == 0
 
 
+def test_a_config_file_can_supply_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text("c = 1\n")
+    sched = ["schedule", "--delta", "0.1", "--d", "10", "--c-o", "4"]
+    assert main([*sched, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main([*sched, "--c", "1", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+    # a key in neither the flags nor the file is still a one-line error
+    cfg.write_text("B = 1\n")
+    capsys.readouterr()
+    assert main([*sched, "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == "incpca: error: the following arguments are required: --c\n"
+
+
 @pytest.mark.parametrize("flag", [["--tri", "3"], ["--trials=3"]], ids=["abbreviated", "joined"])
 def test_an_abbreviated_or_joined_flag_beats_the_config_file(tmp_path, flag):
     cfg = tmp_path / "run.cfg"

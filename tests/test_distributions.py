@@ -154,6 +154,21 @@ def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
             CLIPPED.sample_block(np.random.default_rng(7), 399, out=buf)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [CoordinateDistribution(p=0.3, sigma=0.5, d=5), CLIPPED],
+    ids=["coordinate", "gaussian"],
+)
+@pytest.mark.parametrize("size", [1, 300, 1000, 5000])
+def test_sample_blocks_concatenate_to_one_sample_block(dist, size):
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    ref = dist.sample_block(ref_rng, 1000)
+    blocks = list(dist.sample_blocks(rng, 1000, size))
+    assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate(blocks), ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_random_unit_vectors_are_unit_norm():
     rng = np.random.default_rng(12)
     V = random_unit_vectors(7, 100, rng)

@@ -297,6 +297,19 @@ def test_simulate_holds_one_sample_chunk_at_a_time():
         assert peak < 1.5 * chunk_bytes, rule
 
 
+@pytest.mark.parametrize("trials", [50, 400])
+def test_check_pathwise_holds_one_sample_chunk_at_a_time(trials):
+    chunk_bytes = trials * CHUNK * DIST.d * 8
+    tracemalloc.start()
+    try:
+        rep = verify.check_pathwise(DIST, "krasulina", 3 * CHUNK, trials, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 1.5 * chunk_bytes
+
+
 def test_simulate_grid_and_track_max():
     grid = np.array([10, 100, 1000])
     res = simulate(

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from incpca.verify import (
 
 
 DIST = CoordinateDistribution(p=0.2, sigma=0.5, d=5)
+CLI_DIST = CoordinateDistribution(p=0.2, sigma=0.5, d=10)  # what `incpca verify` checks
 
 
 def test_xi_expectation_zero_at_stationarity():
@@ -45,6 +47,86 @@ def test_z_expectation_matches_closed_form():
     assert rep.passed
     # closed form: 2 gamma (vhat . v*)^2 (lambda1 - G(v))
     assert rep.empirical == pytest.approx(rep.reference, abs=3 * rep.std_error)
+
+
+def _one_shot_reports(dist, n, seed):
+    """The xi and z reports from one (n, d) sample block each, as a reference.
+
+    Draws v, then the xi samples, then w and the z samples from one
+    generator, as `incpca verify` does; returns the two reports and that
+    generator.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dist.d)
+    A = dist.covariance()
+    ref = A @ v - linalg.rayleigh_quotient(A, v) * v
+    xs = xi(v, dist.sample_block(rng, n))
+    mean = xs.mean(axis=0)
+    se = xs.std(axis=0, ddof=1) / math.sqrt(n)
+    z = np.abs(mean - ref) / np.where(se > 0, se, 1.0)
+    exact_bad = np.any((se == 0) & (np.abs(mean - ref) > 1e-12))
+    max_z = float(z.max())
+    xi_rep = CheckReport("xi_expectation", n, max_z, 0.0, 1.0, max_z <= 3.0 and not exact_bad, 3.0)
+
+    w = rng.standard_normal(dist.d)
+    gt = dist.ground_truth()
+    vhat_dot = float(w @ gt.v_star) / math.sqrt(float(w @ w))
+    ref = 2.0 * 0.1 * vhat_dot**2 * (gt.lambda1 - linalg.rayleigh_quotient(A, w))
+    psi = linalg.potential(w, gt.v_star)
+    lower_ok = ref >= 2.0 * 0.1 * gt.gap * psi * (1.0 - psi) - 1e-12 * max(1.0, abs(ref))
+    zs = z_increment(w, dist.sample_block(rng, n), 0.1, gt.v_star)
+    mean = float(zs.mean())
+    se = float(zs.std(ddof=1)) / math.sqrt(n)
+    passed = abs(mean - ref) <= 3.0 * max(se, 1e-15) and lower_ok
+    z_rep = CheckReport("z_expectation", n, mean, ref, se, passed, 3.0 * se)
+    return xi_rep, z_rep, rng
+
+
+def _blocked_reports(dist, n, seed):
+    rng = np.random.default_rng(seed)
+    xi_rep = check_xi_expectation(dist, rng.standard_normal(dist.d), n, rng)
+    z_rep = check_z_expectation(dist, rng.standard_normal(dist.d), 0.1, n, rng)
+    return xi_rep, z_rep, rng
+
+
+@pytest.mark.parametrize("n", [50_000, 100_000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_moment_checks_within_one_block_give_the_one_shot_bits(n, seed):
+    *ref, ref_rng = _one_shot_reports(CLI_DIST, n, seed)
+    *got, rng = _blocked_reports(CLI_DIST, n, seed)
+    assert got == ref
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_moment_checks_over_several_blocks_match_the_one_shot_moments(seed):
+    # three full blocks and a partial one; the merged moments round
+    # differently, by the tolerances stated in CHANGES.md
+    ref_xi, ref_z, ref_rng = _one_shot_reports(CLI_DIST, 350_000, seed)
+    got_xi, got_z, rng = _blocked_reports(CLI_DIST, 350_000, seed)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert got_xi.empirical == pytest.approx(ref_xi.empirical, rel=0, abs=1e-7)
+    assert got_xi.passed == ref_xi.passed
+    for field in ("empirical", "std_error", "slack_used"):
+        assert getattr(got_z, field) == pytest.approx(getattr(ref_z, field), rel=1e-12)
+    assert got_z.reference == ref_z.reference and got_z.passed == ref_z.passed
+
+
+@pytest.mark.parametrize("check", ["xi", "z"])
+def test_moment_checks_hold_one_block_at_a_time(check):
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(10)
+    tracemalloc.start()
+    try:
+        if check == "xi":
+            check_xi_expectation(CLI_DIST, v, 1_000_000, rng)
+        else:
+            check_z_expectation(CLI_DIST, v, 0.1, 1_000_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (1e6, 10) sample matrix alone is 80 MB
+    assert peak < 100e6
 
 
 def test_pathwise_zero_violations_both_rules():
@@ -300,7 +382,6 @@ def test_write_reports_round_trips_a_detail_with_commas():
 
 # Planted faults: each check must catch a broken formula at the sizes
 # `incpca verify` runs it at (1e5 samples, d = 10), on nearly every seed.
-CLI_DIST = CoordinateDistribution(p=0.2, sigma=0.5, d=10)
 
 
 def _caught(check, seeds=20):

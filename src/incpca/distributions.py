@@ -95,6 +95,8 @@ class CoordinateDistribution:
 
     def sample_block(self, rng: np.random.Generator, m: int, out=None) -> np.ndarray:
         """(m, d) block of i.i.d. draws, written into `out` when given."""
+        if out is not None and out.shape != (m, self.d):
+            raise ValueError("out must have shape (m, d)")
         return self._scatter(*self.draw_support(rng, m), out)
 
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
@@ -181,6 +183,17 @@ class GaussianSpectrum:
     @property
     def B(self) -> float:
         return float(self.clip_radius)
+
+    def covariance(self) -> np.ndarray:
+        """Q diag(eigenvalues) Q', or diag(eigenvalues) with no rotation.
+
+        This is the covariance before rejection at clip_radius, so the
+        samples' own covariance matches it up to the rejection rate that
+        sample_block(..., return_rejections=True) reports.
+        """
+        if self.rotation is None:
+            return np.diag(self.eigenvalues)
+        return (self.rotation * self.eigenvalues) @ self.rotation.T
 
     def ground_truth(self) -> GroundTruth:
         if self.rotation is None:

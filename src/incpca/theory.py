@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .estimators import KRASULINA, OJA
 
@@ -33,6 +32,18 @@ A_EXPONENT = 5.0 / (2.0 * math.log(2.0))
 
 # float slack for auditing inequalities that are exact in real arithmetic
 _SLACK = 1e-12
+
+
+def _zeta(s: float) -> float:
+    """Riemann zeta(s), for the a < 1 recurrence tail.
+
+    scipy.special is imported here, at first use, rather than with this
+    module: every other path of the package needs numpy alone, and the
+    import costs about as much as the rest of a command's start-up.
+    """
+    from scipy.special import zeta
+
+    return float(zeta(s))
 
 
 @dataclass(frozen=True)
@@ -202,7 +213,7 @@ def solve_recurrence(u_t0: float, t0: int, a: float, b: float, t) -> float:
     if a > 1.0:
         tail = b / (a - 1.0) * (1.0 + 1.0 / (t0 + 1.0)) ** (a + 1.0) / (t + 1.0)
     else:
-        tail = 4.0 * b * float(_zeta(2.0 - a)) / (t + 1.0) ** a
+        tail = 4.0 * b * _zeta(2.0 - a) / (t + 1.0) ** a
     out = head + tail
     return float(out) if out.ndim == 0 else out
 
@@ -224,7 +235,7 @@ def krasulina_bound(params: BoundParams, n) -> float:
     if a > 1.0:
         tail = b / (a - 1.0) * math.exp((a + 1.0) / (params.n_J + 1.0)) / (n + 1.0)
     else:
-        tail = 4.0 * b * float(_zeta(2.0 - a)) / (n + 1.0) ** a
+        tail = 4.0 * b * _zeta(2.0 - a) / (n + 1.0) ** a
     out = head + tail
     return float(out) if out.ndim == 0 else out
 

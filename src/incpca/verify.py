@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import estimators, harness, linalg, theory
 from .distributions import random_unit_vectors
@@ -378,6 +377,8 @@ def check_mgf(d: int, t: float, n_samples: int, rng) -> CheckReport:
 
 def check_gamma_inequality(z_grid) -> CheckReport:
     """Gamma(z + 1/2) <= sqrt(z) Gamma(z), checked in log space."""
+    from scipy.special import gammaln  # at first use, not with the module: see theory._zeta
+
     z = np.asarray(z_grid, dtype=float)
     if np.any(z <= 0):
         raise ValueError("z grid must be positive")

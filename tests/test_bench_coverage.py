@@ -1,0 +1,72 @@
+"""The benchmark's per-layer coverage guard, at small sizes.
+
+A traced benchmark run exits 3 when a per-layer metric that
+`perfbench/spans.py` maps to its workload saw no call to any of its spans,
+for instance when a change stops calling a wrapped function on that path.
+Scaled-down versions of the four workloads run here under the same
+tracer, so such a change fails this test before it reaches the benchmark.
+"""
+
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from incpca import cli, estimators
+from incpca.distributions import CoordinateDistribution
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+RUN = ["--c-o", "4", "--horizon", "3000", "--trials", "4"]
+COORDINATE = ["--dist", "coordinate", "--p", "0.2", "--sigma", "0.5", "--d", "10"]
+
+
+def _spans():
+    """perfbench/spans.py, executed from its source so that nothing is written beside it."""
+    module = types.ModuleType("spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def coord_readme(tmp_path):
+    for rule in ("oja", "krasulina"):
+        argv = ["run", *COORDINATE, "--rule", rule, *RUN, "--out", str(tmp_path / f"{rule}.csv")]
+        assert cli.main(argv) == 0
+
+
+def gauss_wide(tmp_path):
+    argv = ["run", "--dist", "gaussian", "--eigenvalues", "1,0.5,0.25", "--rule", "oja",
+            *RUN, "--out", str(tmp_path / "gauss.csv")]
+    assert cli.main(argv) == 0
+
+
+def verify_long(tmp_path):
+    # at these sizes a Monte Carlo check may fail; only the calls matter here
+    cli.main(["verify", "--steps", "300", "--trials", "3", "--samples", "2000",
+              "--out", str(tmp_path / "verify.csv")])
+
+
+def stream_api(tmp_path):
+    rng = np.random.default_rng(0)
+    xs = CoordinateDistribution(p=0.2, sigma=0.5, d=10).sample_block(rng, 10)
+    state = estimators.EstimatorState(
+        V=rng.standard_normal(10), n=0, rule=estimators.KRASULINA,
+        lr=estimators.LearningRate(c=5.0),
+    )
+    bstate = estimators.BlockState(
+        V=np.linalg.qr(rng.standard_normal((10, 3)))[0], n=0,
+        lr=estimators.LearningRate(c=1.0),
+    )
+    for x in xs:
+        state = estimators.step(state, x)
+        bstate = estimators.block_oja_step(bstate, x)
+
+
+@pytest.mark.parametrize("workload", [coord_readme, gauss_wide, verify_long, stream_api],
+                         ids=lambda w: w.__name__)
+def test_every_mapped_metric_sees_a_call(workload, tmp_path):
+    spans = _spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        workload(tmp_path)
+    assert tracer.unrecorded(workload.__name__) == []

@@ -10,6 +10,7 @@ from incpca.distributions import (
     random_unit_vectors,
     trial_rng,
 )
+from incpca.linalg import top_eigs
 
 
 def test_trial_rng_deterministic_and_distinct():
@@ -84,6 +85,19 @@ class TestGaussianSpectrum:
         A = Q @ np.diag([2.0, 1.0, 0.5]) @ Q.T
         assert np.allclose(A @ gt.v_star, 2.0 * gt.v_star, atol=1e-12)
 
+    def test_covariance_is_the_rotated_spectrum(self):
+        lam = np.array([2.0, 1.0, 0.5, 0.25, 0.125])
+        Q = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))[0]
+        dist = GaussianSpectrum(lam, rotation=Q)
+        A = dist.covariance()
+        assert np.abs(A - Q @ np.diag(lam) @ Q.T).max() <= 1e-12
+        assert np.array_equal(GaussianSpectrum(lam).covariance(), np.diag(lam))
+        gt = dist.ground_truth()
+        lams, vecs = top_eigs(A, 1, tol=1e-12)
+        assert lams[0] == pytest.approx(gt.lambda1, abs=1e-12)
+        v = vecs[0] * np.sign(vecs[0] @ gt.v_star)
+        assert np.abs(v - gt.v_star).max() <= 1e-10
+
     def test_sample_covariance_close(self):
         dist = GaussianSpectrum([2.0, 1.0, 0.5])
         X = dist.sample_block(np.random.default_rng(4), 200_000)
@@ -137,6 +151,19 @@ def test_sample_block_into_out_returns_out_with_the_same_bits(dist):
     assert np.isnan(chunk[:, [0, 2]]).all()  # the other columns are untouched
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [CoordinateDistribution(p=0.2, sigma=0.5, d=4), CLIPPED],
+    ids=["coordinate", "gaussian"],
+)
+@pytest.mark.parametrize("rows, extra_columns", [(5, 0), (3, 2)], ids=["rows", "columns"])
+def test_sample_block_rejects_an_out_of_another_shape(dist, rows, extra_columns):
+    out = np.ones((rows, dist.d + extra_columns))
+    with pytest.raises(ValueError, match=r"out must have shape \(m, d\)"):
+        dist.sample_block(np.random.default_rng(0), 3, out=out)
+    assert (out == 1.0).all()  # nothing was written
+
+
 def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
     ref, ref_rejected = _allocating_gaussian_block(CLIPPED, np.random.default_rng(7), 400)
     assert ref_rejected > 0
@@ -150,8 +177,6 @@ def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
         assert y is buf
         assert out_rejected == ref_rejected
         assert np.array_equal(y, ref)
-        with pytest.raises(ValueError):
-            CLIPPED.sample_block(np.random.default_rng(7), 399, out=buf)
 
 
 @pytest.mark.parametrize(

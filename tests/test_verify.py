@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import hyp1f1
 
-from incpca import estimators, harness, linalg, theory
-from incpca.distributions import CoordinateDistribution
+from incpca import estimators, harness, linalg, theory, verify
+from incpca.distributions import CoordinateDistribution, GaussianSpectrum
 from incpca.harness import CHUNK
 from incpca.linalg import potential
 from incpca.estimators import InitError, krasulina_update, xi, z_increment
@@ -47,6 +47,33 @@ def test_z_expectation_matches_closed_form():
     assert rep.passed
     # closed form: 2 gamma (vhat . v*)^2 (lambda1 - G(v))
     assert rep.empirical == pytest.approx(rep.reference, abs=3 * rep.std_error)
+
+
+# v* off every axis; the default clip radius makes rejections rare
+ROTATED = GaussianSpectrum(
+    [2.0, 1.0, 0.5, 0.25, 0.125],
+    rotation=np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0],
+)
+
+
+def test_xi_and_z_checks_run_on_gaussian_data():
+    n = 250_000
+    assert 2 * verify._BLOCK < n <= 3 * verify._BLOCK  # three blocks
+    rng = np.random.default_rng(0)
+    xi_rep = check_xi_expectation(ROTATED, rng.standard_normal(5), n, rng)
+    z_rep = check_z_expectation(ROTATED, rng.standard_normal(5), 0.1, n, rng)
+    for rep in (xi_rep, z_rep):
+        assert rep.n_samples == n
+        assert all(map(math.isfinite, (rep.empirical, rep.reference, rep.std_error)))
+
+
+def test_xi_check_on_gaussian_data_passes_on_9_of_seeds_0_to_9():
+    # with correct code the largest of d=5 z-scores exceeds 3 on about 1.3% of seeds
+    passed = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        passed += check_xi_expectation(ROTATED, rng.standard_normal(5), 250_000, rng).passed
+    assert passed >= 9
 
 
 def _one_shot_reports(dist, n, seed):

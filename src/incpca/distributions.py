@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _einsum
+
 __all__ = [
     "GroundTruth",
     "CoordinateDistribution",
@@ -95,8 +97,8 @@ class CoordinateDistribution:
 
     def sample_block(self, rng: np.random.Generator, m: int, out=None) -> np.ndarray:
         """(m, d) block of i.i.d. draws, written into `out` when given."""
-        if out is not None and out.shape != (m, self.d):
-            raise ValueError("out must have shape (m, d)")
+        if out is not None and (out.shape != (m, self.d) or out.dtype != np.float64):
+            raise ValueError("out must have shape (m, d) and dtype float64")
         return self._scatter(*self.draw_support(rng, m), out)
 
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
@@ -127,13 +129,9 @@ class CoordinateDistribution:
         consume the stream alike.
         """
         u = rng.random(m)
-        coords = np.empty(m, dtype=np.intp)
-        head = u < self.p
-        coords[head] = 0
-        # spread the tail mass uniformly over coordinates 1..d-1
-        tail = ~head
-        frac = (u[tail] - self.p) / (1.0 - self.p)
-        coords[tail] = 1 + np.minimum((frac * (self.d - 1)).astype(np.intp), self.d - 2)
+        frac = (u - self.p) / (1.0 - self.p)  # the tail spreads evenly over coordinates 1..d-1
+        tail = 1 + np.minimum((frac * (self.d - 1)).astype(np.intp), self.d - 2)
+        coords = np.where(u < self.p, 0, tail)
         signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
         return coords, signs
 
@@ -211,10 +209,11 @@ class GaussianSpectrum:
         """(m, d) block of i.i.d. draws, written into `out` when given.
 
         `out` may be any float64 array of shape (m, d), strided too; the
-        draws and their order are the same either way.
+        draws and their order are the same either way.  Any other dtype is
+        rejected rather than cast into.
         """
-        if out is not None and out.shape != (m, self.d):
-            raise ValueError("out must have shape (m, d)")
+        if out is not None and (out.shape != (m, self.d) or out.dtype != np.float64):
+            raise ValueError("out must have shape (m, d) and dtype float64")
         scale = np.sqrt(self.eigenvalues)
         # standard_normal(out=) needs a contiguous buffer
         block = out if out is not None and out.flags.forc else np.empty((m, self.d))
@@ -222,7 +221,7 @@ class GaussianSpectrum:
         block *= scale
         rejected = 0
         while True:
-            bad = np.einsum("ij,ij->i", block, block) > self.clip_radius
+            bad = _einsum("ij,ij->i", block, block) > self.clip_radius
             nbad = int(bad.sum())
             if nbad == 0:
                 break

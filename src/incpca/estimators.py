@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import random_unit_vector
+from .linalg import _einsum
 
 __all__ = [
     "KRASULINA",
@@ -101,7 +102,7 @@ class EstimatorState:
 
 def _increment(v: np.ndarray, x: np.ndarray, nsq) -> np.ndarray:
     """xi(v, x) for a v whose squared norm nsq is already known."""
-    dot = np.einsum("...i,...i->...", v, x)
+    dot = _einsum("...i,...i->...", v, x)
     return dot[..., None] * x - (dot * dot / nsq)[..., None] * v
 
 
@@ -113,7 +114,7 @@ def xi(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     (m, d) rows of x; the result has one row per row of the inputs.
     """
     v = np.asarray(v, dtype=float)
-    nsq = np.einsum("...i,...i->...", v, v)
+    nsq = _einsum("...i,...i->...", v, v)
     if np.any(nsq == 0.0):
         raise ValueError("xi undefined for the zero vector")
     return _increment(v, np.asarray(x, dtype=float), nsq)
@@ -122,26 +123,28 @@ def xi(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def z_increment(v, x, gamma, v_star):
     """Martingale decrease term: 2 gamma (v.v*) (xi.v*) / |v|^2, rows like xi.
 
-    gamma may be a scalar or one value per row.  Every product is an einsum
-    over the last axis, so a row gives the same bits alone or in a batch.
+    gamma may be a scalar or one value per row.  Every product is a
+    `linalg._einsum` over the last axis, so a row gives the same bits alone or in a batch.
     """
     v = np.asarray(v, dtype=float)
-    nsq = np.einsum("...i,...i->...", v, v)
-    v_dot = np.einsum("...i,i->...", v, v_star)
-    xi_dot = np.einsum("...i,i->...", xi(v, x), v_star)
+    nsq = _einsum("...i,...i->...", v, v)
+    if np.any(nsq == 0.0):
+        raise ValueError("xi undefined for the zero vector")
+    v_dot = _einsum("...i,i->...", v, v_star)
+    xi_dot = _einsum("...i,i->...", _increment(v, np.asarray(x, dtype=float), nsq), v_star)
     return 2.0 * gamma * v_dot * xi_dot / nsq
 
 
 def krasulina_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     """One Krasulina step; V and x may be (d,) or per-trial (T, d) rows."""
-    return V + gamma * _increment(V, x, np.einsum("...i,...i->...", V, V))
+    return V + gamma * _increment(V, x, _einsum("...i,...i->...", V, V))
 
 
 def oja_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     """One Oja step (rank-one growth + normalization); batched like above."""
-    dot = np.einsum("...i,...i->...", V, x)
+    dot = _einsum("...i,...i->...", V, x)
     W = V + (gamma * dot)[..., None] * x
-    norms = np.sqrt(np.einsum("...i,...i->...", W, W))
+    norms = np.sqrt(_einsum("...i,...i->...", W, W))
     if np.any(norms < 1e-300):
         raise FloatingPointError("Oja denominator underflow")
     return W / norms[..., None]
@@ -208,14 +211,14 @@ def _mgs(W: np.ndarray, rng: np.random.Generator) -> int:
     collapses = 0
     for j in range(p):
         w = W[j]
-        norm = float(np.sqrt(np.einsum("i,i->", w, w)))
+        norm = float(np.sqrt(_einsum("i,i->", w, w)))
         if norm < 1e-12:
             collapses += 1
             while True:
                 w = random_unit_vector(d, rng)
                 for q in W[:j]:
-                    w = w - np.einsum("i,i->", q, w) * q
-                norm = float(np.sqrt(np.einsum("i,i->", w, w)))
+                    w = w - _einsum("i,i->", q, w) * q
+                norm = float(np.sqrt(_einsum("i,i->", w, w)))
                 if norm >= 1e-6:
                     break
         w = np.divide(w, norm, out=W[j])
@@ -234,7 +237,7 @@ def block_oja_step(bstate: BlockState, x) -> BlockState:
     x = np.asarray(x, dtype=float)
     n = bstate.n + 1
     Vt = bstate.V.T
-    W = Vt + (bstate.lr.gamma(n) * np.einsum("...i,...i->...", Vt, x))[..., None] * x
+    W = Vt + (bstate.lr.gamma(n) * _einsum("...i,...i->...", Vt, x))[..., None] * x
     collapses = _mgs(W, bstate._rng)
     return BlockState(
         V=W.T,

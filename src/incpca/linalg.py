@@ -19,6 +19,24 @@ __all__ = [
 ]
 
 
+def _c_einsum():
+    """np.einsum's C core: the same bits with optimize unset, minus its Python wrapper.
+
+    Private to numpy: numpy._core in numpy 2, numpy.core in 1.x (which warns on 2).
+    """
+    try:
+        from numpy._core._multiarray_umath import c_einsum
+    except ImportError:
+        try:
+            from numpy.core._multiarray_umath import c_einsum
+        except ImportError:
+            c_einsum = np.einsum
+    return c_einsum
+
+
+_einsum = _c_einsum()  # every einsum in the package, so all keep np.einsum's bits
+
+
 class EigenConvergenceError(RuntimeError):
     """Power iteration failed to reach the requested residual.
 
@@ -78,23 +96,23 @@ def potential(V, v_star):
 
     V is one state (d,) or a stack (..., d); returns a float or an array of
     shape V.shape[:-1], in [0, 1].  Unlike 1 - (V.v*)^2 / |V|^2 it stays
-    accurate at small values.  Every product is an einsum over the last
-    axis, so a row gives the same bits alone or inside any stack.
+    accurate at small values.  Every product is an einsum (`_einsum`) over
+    the last axis, so a row gives the same bits alone or inside any stack.
     """
     V = np.asarray(V, dtype=float)
     v_star = _as_vector(v_star)
-    if abs(float(np.einsum("i,i->", v_star, v_star)) - 1.0) > 1e-10:
+    if abs(float(_einsum("i,i->", v_star, v_star)) - 1.0) > 1e-10:
         raise ValueError("v_star must be a unit vector")
     # a nan or inf entry, or an overflowing one, makes its squared norm non-finite
-    nsq = np.einsum("...i,...i->...", V, V)
+    nsq = _einsum("...i,...i->...", V, V)
     if not np.all(np.isfinite(nsq)):
         raise ValueError("state has a non-finite squared norm")
     if np.any(nsq == 0.0):
         raise ValueError("potential undefined for the zero vector")
     # V - (V.v*) v* in one buffer: a stack's temporaries are large
-    off = np.einsum("...,i->...i", np.einsum("...i,i->...", V, v_star), v_star)
+    off = _einsum("...,i->...i", _einsum("...i,i->...", V, v_star), v_star)
     np.subtract(V, off, out=off)
-    val = np.minimum(np.einsum("...i,...i->...", off, off) / nsq, 1.0)
+    val = np.minimum(_einsum("...i,...i->...", off, off) / nsq, 1.0)
     return float(val) if V.ndim == 1 else val
 
 

@@ -175,14 +175,14 @@ def _span_residual(V, x, V_new, nsq, norm_new):
     held beside them.
     """
     b1 = V / np.sqrt(nsq)[:, None]
-    b2 = np.einsum("ij,ij->i", b1, x)[:, None] * b1
+    b2 = linalg._einsum("ij,ij->i", b1, x)[:, None] * b1
     np.subtract(x, b2, out=b2)  # x_perp, normalized in place below
     xp_norm = np.linalg.norm(b2, axis=1)
     safe = np.where(xp_norm > 1e-300, xp_norm, 1.0)
     b2 /= safe[:, None]
-    b1 *= np.einsum("ij,ij->i", b1, V_new)[:, None]
+    b1 *= linalg._einsum("ij,ij->i", b1, V_new)[:, None]
     resid = np.subtract(V_new, b1, out=b1)
-    b2 *= np.einsum("ij,ij->i", b2, V_new)[:, None]
+    b2 *= linalg._einsum("ij,ij->i", b2, V_new)[:, None]
     resid -= b2
     del b2
     # when x is nearly parallel to V the b2 basis vector loses
@@ -225,11 +225,11 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
         if bad.size:
             first.append((bad[0], kind, quantities))
 
-    nsq = np.einsum("ij,ij->i", V, V)
-    dot = np.einsum("ij,ij->i", V, x)
+    nsq = linalg._einsum("ij,ij->i", V, V)
+    dot = linalg._einsum("ij,ij->i", V, x)
     xi = estimators.xi(V, x)
-    xi_nsq = np.einsum("ij,ij->i", xi, xi)
-    xi_dot_v = np.einsum("ij,ij->i", xi, V)
+    xi_nsq = linalg._einsum("ij,ij->i", xi, xi)
+    xi_dot_v = linalg._einsum("ij,ij->i", xi, V)
     del xi
     Z = estimators.z_increment(V, x, gamma, v_star)
 
@@ -248,7 +248,7 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
     )
     flag("Z range", np.abs(Z) > 4.0 * gamma * B * (1.0 + 1e-12), {"Z": Z})
 
-    nsq_new = np.einsum("ij,ij->i", V_new, V_new)
+    nsq_new = linalg._einsum("ij,ij->i", V_new, V_new)
     norm_new = np.sqrt(nsq_new)
     flag(
         "potential inequality",

@@ -164,6 +164,49 @@ def test_sample_block_rejects_an_out_of_another_shape(dist, rows, extra_columns)
     assert (out == 1.0).all()  # nothing was written
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [CoordinateDistribution(p=0.2, sigma=0.5, d=4), CLIPPED],
+    ids=["coordinate", "gaussian"],
+)
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_sample_block_rejects_an_out_of_another_dtype(dist, dtype, strided):
+    # writing draws into such a buffer would cast them (0/+-1 rows for int64)
+    buf = np.ones((3, 2, dist.d), dtype=dtype)
+    out = buf[:, 1] if strided else buf[:, 1].copy()
+    with pytest.raises(ValueError, match="out must have shape \\(m, d\\) and dtype float64"):
+        dist.sample_block(np.random.default_rng(0), 3, out=out)
+    assert (out == 1).all()  # nothing was written
+
+
+def _mask_draw_support(dist, rng, m):
+    """Reference: the tail's coordinates picked by boolean-mask indexing."""
+    u = rng.random(m)
+    coords = np.empty(m, dtype=np.intp)
+    head = u < dist.p
+    coords[head] = 0
+    tail = ~head
+    frac = (u[tail] - dist.p) / (1.0 - dist.p)
+    coords[tail] = 1 + np.minimum((frac * (dist.d - 1)).astype(np.intp), dist.d - 2)
+    signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    return coords, signs
+
+
+@pytest.mark.parametrize("d", [2, 10])
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.9])
+@pytest.mark.parametrize("m", [1, 5, 2048])
+def test_draw_support_matches_the_boolean_mask_form(d, p, m):
+    dist = CoordinateDistribution(p=p, sigma=0.1, d=d)
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        coords, signs = dist.draw_support(rng, m)
+        ref_coords, ref_signs = _mask_draw_support(dist, ref_rng, m)
+        assert coords.dtype == np.intp and np.array_equal(coords, ref_coords)
+        assert np.array_equal(signs, ref_signs)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
     ref, ref_rejected = _allocating_gaussian_block(CLIPPED, np.random.default_rng(7), 400)
     assert ref_rejected > 0

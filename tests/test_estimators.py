@@ -94,6 +94,13 @@ def test_z_increment_matches_definition():
     assert z_increment(v, x, gamma, vstar) == pytest.approx(expect, rel=1e-12)
 
 
+def test_z_increment_rejects_a_zero_v_like_xi():
+    x = np.ones((3, 4))
+    for v in (np.zeros(4), np.vstack([np.ones(4), np.zeros(4), np.ones(4)])):
+        with pytest.raises(ValueError, match="xi undefined for the zero vector"):
+            z_increment(v, x, 0.1, np.eye(4)[0])
+
+
 def test_z_increment_rows_do_not_depend_on_the_batch():
     # a rotated v* makes every product inexact, so a BLAS product over the
     # batch would round some rows differently from single-row calls

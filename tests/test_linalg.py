@@ -1,9 +1,14 @@
 """Tests for the small dense linear algebra helpers."""
 
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incpca import linalg
 from incpca.linalg import (
     EigenConvergenceError,
     potential,
@@ -181,3 +186,49 @@ def test_top_eigs_nonconvergence_raises():
     A = np.diag([2.0, 2.0, 1.0])
     with pytest.raises(EigenConvergenceError):
         top_eigs(A, 1, tol=1e-15, max_iter=5)
+
+
+def _einsum_cases(rng):
+    """(subscripts, operands) for every spelling the package passes to _einsum."""
+    for d in (3, 10, 20):
+        v, w = rng.standard_normal(d), rng.standard_normal(d)
+        yield "i,i->", (v, w)
+        yield "...i,...i->...", (v, w)
+        yield "...i,i->...", (v, w)
+        yield "...,i->...i", (np.asarray(v @ w), w)
+        for T in (1, 7, 100, 1000):
+            V, X = rng.standard_normal((T, d)), rng.standard_normal((T, d))
+            yield "...i,...i->...", (V, X)
+            yield "...i,...i->...", (v, X)
+            yield "ij,ij->i", (V, X)
+            yield "...i,i->...", (V, w)
+            yield "...,i->...i", (V[:, 0], w)
+
+
+def test_einsum_helper_has_np_einsum_bits_on_its_fast_path_and_its_fallback(monkeypatch):
+    fast = linalg._c_einsum()
+    assert linalg._einsum is fast
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert fast is not np.einsum  # the C entry point is found here
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        monkeypatch.setitem(sys.modules, name, None)  # its import now fails
+    fallback = linalg._c_einsum()
+    monkeypatch.undo()
+    assert fallback is np.einsum
+    for subscripts, operands in _einsum_cases(np.random.default_rng(41)):
+        ref = np.einsum(subscripts, *operands)
+        for helper in (fast, fallback):
+            got = helper(subscripts, *operands)
+            assert got.shape == ref.shape and np.array_equal(got, ref), subscripts
+
+
+def test_no_module_calls_np_einsum_directly():
+    # every reduction goes through linalg._einsum, so a new one keeps its bits
+    src = Path(linalg.__file__).parent
+    calls = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(np|numpy)\.einsum\(", line)
+    ]
+    assert calls == []

@@ -261,6 +261,27 @@ def test_pathwise_report_does_not_depend_on_the_batch_size(monkeypatch, rule, ki
     assert reports[0].detail.startswith(f"{kind} at step n=2100 trial=2: V=[")
 
 
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+def test_z_increment_keeps_the_bits_of_its_xi_form(monkeypatch, rule):
+    # z_increment reuses its |v|^2 for xi; the form that called xi(v, x),
+    # which squares v again, must give the same Z and so the same reports
+    def via_xi(v, x, gamma, v_star):
+        v = np.asarray(v, dtype=float)
+        nsq = np.einsum("...i,...i->...", v, v)
+        v_dot = np.einsum("...i,i->...", v, v_star)
+        xi_dot = np.einsum("...i,i->...", xi(v, x), v_star)
+        return 2.0 * gamma * v_dot * xi_dot / nsq
+
+    rng = np.random.default_rng(43)
+    v_star = np.linalg.qr(rng.standard_normal((5, 5)))[0][:, 0]
+    V, X, gamma = rng.standard_normal((64, 5)), rng.standard_normal((64, 5)), rng.random(64)
+    assert np.array_equal(z_increment(V, X, gamma, v_star), via_xi(V, X, gamma, v_star))
+    assert z_increment(V[0], X[0], 0.3, v_star) == via_xi(V[0], X[0], 0.3, v_star)
+    report = check_pathwise(DIST, rule, steps=400, trials=6, master_seed=5)
+    monkeypatch.setattr(estimators, "z_increment", via_xi)
+    assert check_pathwise(DIST, rule, steps=400, trials=6, master_seed=5) == report
+
+
 def test_expectation_checks_move_only_in_the_last_digits():
     # the samples now go through estimators.xi / estimators.z_increment,
     # whose dot products and operation order differ from the former

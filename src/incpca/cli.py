@@ -57,20 +57,13 @@ class _Parser(argparse.ArgumentParser):
 def _make_dist(args):
     if args.dist == "coordinate":
         return CoordinateDistribution(p=args.p, sigma=args.sigma, d=args.d)
-    if args.dist == "gaussian":
-        lam = np.array([float(s) for s in args.eigenvalues.split(",")])
-        return GaussianSpectrum(eigenvalues=lam, clip_radius=args.clip_radius)
-    raise ValueError(f"unknown distribution {args.dist!r}")
+    # "gaussian": the parser checks a flag's and a config file's --dist against its choices
+    lam = np.array([float(s) for s in args.eigenvalues.split(",")])
+    return GaussianSpectrum(eigenvalues=lam, clip_radius=args.clip_radius)
 
 
 def _out_path(args, default_name: str) -> str:
     return args.out or os.path.join(os.environ.get("INCPCA_OUTDIR", "."), default_name)
-
-
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file; flags take precedence")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 def _add_dist_args(p):
@@ -96,7 +89,6 @@ def build_parser(
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="multi-trial convergence experiment")
-    _add_common(run)
     _add_dist_args(run)
     run.add_argument("--rule", default=KRASULINA, choices=[KRASULINA, OJA])
     run.add_argument("--init", default="random_unit", choices=["random_unit", "first_point", "average_k"])
@@ -109,14 +101,12 @@ def build_parser(
     run.add_argument("--grid-points", type=int, default=200)
 
     slope = sub.add_parser("slope", help="log-log slope of an experiment CSV")
-    _add_common(slope)
     slope.add_argument("--input", required=True)
     slope.add_argument("--column", default="mean_psi")
     slope.add_argument("--n-min", type=float, required=True)
     slope.add_argument("--n-max", type=float, required=True)
 
     cx = sub.add_parser("counterexample", help="orthogonality-trap frequency")
-    _add_common(cx)
     _add_dist_args(cx)
     cx.add_argument("--rule", default=KRASULINA, choices=[KRASULINA, OJA])
     cx.add_argument("--init", default="first_point", choices=["random_unit", "first_point", "average_k"])
@@ -126,7 +116,6 @@ def build_parser(
     cx.add_argument("--horizon", type=int, default=2000)
 
     sched = sub.add_parser("schedule", help="epoch ladder table")
-    _add_common(sched)
     sched.add_argument("--delta", type=float, required=True)
     sched.add_argument("--d", type=int, required=True)
     sched.add_argument("--c-o", type=float, required=True)
@@ -134,7 +123,6 @@ def build_parser(
     sched.add_argument("--B", type=float, default=1.0)
 
     bound = sub.add_parser("bound", help="convergence-bound curve as CSV")
-    _add_common(bound)
     bound.add_argument("--c-o", type=float, required=True)
     bound.add_argument("--B", type=float, default=1.0)
     bound.add_argument("--d", type=int, required=True)
@@ -147,13 +135,18 @@ def build_parser(
     bound.add_argument("--points", type=int, default=100)
 
     ver = sub.add_parser("verify", help="run the Monte Carlo check suite")
-    _add_common(ver)
     ver.add_argument("--samples", type=int, default=100_000)
     ver.add_argument("--trials", type=int, default=50)
     ver.add_argument("--steps", type=int, default=2000)
 
+    # a subcommand takes --seed and --out only where its handler reads them
+    for p in (run, cx, ver):
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+    for p in (run, sched, bound, ver):
+        p.add_argument("--out", help="output file path")
     config = config or {}
     for p in sub.choices.values():
+        p.add_argument("--config", help="key=value config file; flags take precedence")
         p.set_defaults(**{a.dest: config[a.dest] for a in p._actions if a.dest in config})
         for a in p._actions:
             a.required = a.required and required and a.dest not in config

@@ -1,10 +1,11 @@
 """Krasulina, Oja, and block-Oja update rules.
 
-The scalar API (`krasulina_step`, `oja_step`, `block_oja_step`) mirrors the
-update equations one state at a time.  The `*_update` kernels are the same
-arithmetic broadcast over a batch of independent trials, which is how the
-experiment harness and the Monte Carlo checks drive them; the block rule
-applies Oja's arithmetic likewise to the p rows of its transposed frame.
+The scalar API (`step`, which advances a Krasulina or Oja state by its
+rule, and `block_oja_step`) mirrors the update equations one state at a
+time.  The `*_update` kernels are the same arithmetic broadcast over a
+batch of independent trials, which is how the experiment harness and the
+Monte Carlo checks drive them; the block rule applies Oja's arithmetic
+likewise to the p rows of its transposed frame.
 
 Krasulina's rule never normalizes, and the iterate norm is nondecreasing;
 to keep long runs clear of overflow, the state is renormalized to unit
@@ -34,8 +35,6 @@ __all__ = [
     "z_increment",
     "krasulina_update",
     "oja_update",
-    "krasulina_step",
-    "oja_step",
     "step",
     "block_oja_step",
     "init_vector",
@@ -52,16 +51,13 @@ class InitError(ValueError):
 
 @dataclass(frozen=True)
 class LearningRate:
-    """Step sizes gamma_n = c/n after the start time n_o."""
+    """Step sizes gamma_n = c/n; the state's step count n is the clock."""
 
     c: float
-    n_o: int = 0
 
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.n_o < 0:
-            raise ValueError("n_o must be >= 0")
 
     def gamma(self, n: int) -> float:
         if n < 1:
@@ -74,7 +70,7 @@ def _checked_norm(V: np.ndarray, rule: str) -> float:
 
     V must have a finite, nonzero squared norm (a nan or inf entry, or
     entries so large that it overflows, make it non-finite), and an Oja V
-    unit norm.  EstimatorState and the step functions run these checks.
+    unit norm.  EstimatorState and `step` run these checks.
     """
     nsq = float(V.dot(V))
     if not (math.isfinite(nsq) and nsq > 0.0):
@@ -151,34 +147,25 @@ def oja_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _successor(state: EstimatorState, V: np.ndarray, n: int) -> EstimatorState:
-    """`state` advanced to (V, n); the step functions have run its checks on V."""
+    """`state` advanced to (V, n); `step` has run its checks on V."""
     succ = object.__new__(EstimatorState)
     succ.__dict__.update(V=V, n=n, rule=state.rule, lr=state.lr)
     return succ
 
 
-def krasulina_step(state: EstimatorState, x) -> EstimatorState:
-    if state.rule != KRASULINA:
-        raise ValueError("state is not a Krasulina state")
+def step(state: EstimatorState, x) -> EstimatorState:
+    """One update of `state` by its rule, with gamma_n = c/n for n = state.n + 1.
+
+    A Krasulina state whose norm passes RENORM_THRESHOLD is renormalized.
+    """
     n = state.n + 1
-    V = krasulina_update(state.V, np.asarray(x, dtype=float), state.lr.gamma(n))
-    norm = _checked_norm(V, KRASULINA)
+    # the kernels are looked up at call time, so a wrapper set on the module sees the call
+    update = krasulina_update if state.rule == KRASULINA else oja_update
+    V = update(state.V, np.asarray(x, dtype=float), state.lr.gamma(n))
+    norm = _checked_norm(V, state.rule)
     if norm > RENORM_THRESHOLD:
         V = V / norm
     return _successor(state, V, n)
-
-
-def oja_step(state: EstimatorState, x) -> EstimatorState:
-    if state.rule != OJA:
-        raise ValueError("state is not an Oja state")
-    n = state.n + 1
-    V = oja_update(state.V, np.asarray(x, dtype=float), state.lr.gamma(n))
-    _checked_norm(V, OJA)
-    return _successor(state, V, n)
-
-
-def step(state: EstimatorState, x) -> EstimatorState:
-    return krasulina_step(state, x) if state.rule == KRASULINA else oja_step(state, x)
 
 
 @dataclass
@@ -232,7 +219,7 @@ def block_oja_step(bstate: BlockState, x) -> BlockState:
 
     Both run in place on the rows of V' (p x d), copied from the input's V
     by the growth; the growth and each row's norm are oja_update's
-    arithmetic, so p = 1 trajectories reproduce oja_step bit-for-bit.
+    arithmetic, so p = 1 trajectories reproduce `step` on an Oja state bit-for-bit.
     """
     x = np.asarray(x, dtype=float)
     n = bstate.n + 1

@@ -298,6 +298,8 @@ def simulate(
         raise ValueError("n_o must be >= 0")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if horizon < n_o:
+        raise ValueError("horizon must be >= n_o")
     if trial_ids is None:
         trial_ids = list(range(trials))
     if len(trial_ids) == 0:
@@ -308,9 +310,7 @@ def simulate(
     grid = grid[(grid >= n_o) & (grid <= horizon)]
     if grid.size == 0 or grid[-1] != horizon:
         grid = np.append(grid, horizon)
-    # the state recorded for each grid point; a horizon below n_o reads n_o
-    read_at = np.maximum(grid, n_o).tolist()
-    recorded = dict.fromkeys(read_at)
+    recorded = dict.fromkeys(grid.tolist())
 
     v_star = dist.ground_truth().v_star
     V, failed, rngs = init_states(dist, rule, init_mode, init_k, master_seed, trial_ids)
@@ -325,7 +325,7 @@ def simulate(
         if track_max:
             np.maximum(max_psi, rows.max(axis=0), out=max_psi)
         recorded.update((n, row) for (n, _), row in zip(batch, rows) if n in recorded)
-    psi = np.stack([recorded[n] for n in read_at], axis=1)
+    psi = np.stack([recorded[n] for n in grid.tolist()], axis=1)
     return SimResult(grid=grid, psi=psi, failed=failed, max_psi=max_psi)
 
 

@@ -17,9 +17,9 @@ experiments run, and takes xi and Z from `estimators.xi` /
 The Monte Carlo checks hold one block of at most _BLOCK samples at a time,
 not the sample matrix; the xi and z checks also hold the compact support of
 a coordinate draw (an index and a sign per sample), so that they see the
-draws of one `sample_block` call.  Their block moments are merged, so above
-_BLOCK samples their values differ from a one-shot mean and standard
-deviation in the last bits only.
+draws of one `sample_block` call.  All three merge their block moments in
+`_sample_moments`, so above _BLOCK samples their values differ from a
+one-shot mean and standard deviation (n - 1 form) in the last bits only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import estimators, harness, linalg, theory
 from .distributions import random_unit_vectors
-from .estimators import KRASULINA, InitError
+from .estimators import KRASULINA
 
 __all__ = [
     "CheckReport",
@@ -73,23 +73,20 @@ def write_reports(fh, reports) -> None:
     harness.write_csv(fh, header.split(","), rows)
 
 
-def _require_samples(n_samples: int) -> None:
+def _sample_moments(blocks, n_samples: int, stat):
+    """Mean and standard error of stat(X), per column, over the n_samples rows of `blocks`.
+
+    `blocks` yields the samples in blocks of rows.  Each block's mean and
+    sum of squared deviations is merged by the pairwise update of Chan,
+    Golub & LeVeque (1979).  The first block is taken as it is, so a single
+    block gives the bits of stat(X).mean(axis=0) and
+    stat(X).std(axis=0, ddof=1) / sqrt(n).
+    """
     # a standard error needs two samples; with fewer a check tests nothing
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-
-
-def _sample_moments(dist, n_samples: int, rng, stat):
-    """Mean and standard error of stat(X), per column, over n_samples draws.
-
-    The draws are those of one dist.sample_block(rng, n_samples) call, taken
-    in blocks of at most _BLOCK rows.  Each block's mean and sum of squared
-    deviations is merged by the pairwise update of Chan, Golub & LeVeque
-    (1979).  The first block is taken as it is, so a single block gives the
-    bits of stat(X).mean(axis=0) and stat(X).std(axis=0, ddof=1) / sqrt(n).
-    """
     seen = 0
-    for X in dist.sample_blocks(rng, n_samples, _BLOCK):
+    for X in blocks:
         ys = stat(X)
         m = ys.shape[0]
         block_mean = ys.mean(axis=0)
@@ -113,11 +110,11 @@ def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     empirical is the worst per-coordinate z-score; the check passes when it
     stays within 3.
     """
-    _require_samples(n_samples)
     v = np.asarray(v, dtype=float)
     A = dist.covariance()
     ref = A @ v - linalg.rayleigh_quotient(A, v) * v
-    mean, se = _sample_moments(dist, n_samples, rng, lambda X: estimators.xi(v, X))
+    blocks = dist.sample_blocks(rng, n_samples, _BLOCK)
+    mean, se = _sample_moments(blocks, n_samples, lambda X: estimators.xi(v, X))
     z = np.abs(mean - ref) / np.where(se > 0, se, 1.0)
     # coordinates with zero sample variance must match exactly
     exact_bad = np.any((se == 0) & (np.abs(mean - ref) > 1e-12))
@@ -139,7 +136,6 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     Also audits the closed form against its lower bound
     2 gamma (lambda1-lambda2) Psi (1-Psi).
     """
-    _require_samples(n_samples)
     v = np.asarray(v, dtype=float)
     gt = dist.ground_truth()
     A = dist.covariance()
@@ -149,8 +145,9 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     psi = linalg.potential(v, gt.v_star)
     lower = 2.0 * gamma * gt.gap * psi * (1.0 - psi)
 
+    blocks = dist.sample_blocks(rng, n_samples, _BLOCK)
     mean, se = _sample_moments(
-        dist, n_samples, rng, lambda X: estimators.z_increment(v, X, gamma, gt.v_star)
+        blocks, n_samples, lambda X: estimators.z_increment(v, X, gamma, gt.v_star)
     )
     mean, se = float(mean), float(se)
     two_sided = abs(mean - ref) <= 3.0 * max(se, 1e-15)
@@ -303,8 +300,6 @@ def check_pathwise(
     trials: int,
     master_seed: int,
     c: float = 1.0,
-    init_mode: str = "random_unit",
-    init_k: int | None = None,
 ) -> CheckReport:
     """Run full trajectories asserting every per-step identity and bound.
 
@@ -321,11 +316,8 @@ def check_pathwise(
         raise ValueError("need at least one step")
     gt = dist.ground_truth()
     v_star, B = gt.v_star, dist.B
-    V, failed, rngs = harness.init_states(
-        dist, rule, init_mode, init_k, master_seed, range(trials)
-    )
-    if failed.any():
-        raise InitError(f"trial {int(np.flatnonzero(failed)[0])}: zero initial vector")
+    # a random unit start cannot fail, so no row of `failed` is set
+    V, _, rngs = harness.init_states(dist, rule, "random_unit", None, master_seed, range(trials))
 
     violations, detail, last = 0, "", (None, None)
     run = _owned_samples(harness.trajectories(dist, rule, c, 0, steps, V, rngs))
@@ -349,19 +341,13 @@ def check_pathwise(
 
 def check_mgf(d: int, t: float, n_samples: int, rng) -> CheckReport:
     """Empirical E[e^{tY}] for Y = 1 - V_1^2 on the sphere, vs the bound."""
-    _require_samples(n_samples)
     bound = theory.mgf_bound(d, t)
-    total, total_sq, seen = 0.0, 0.0, 0
-    while seen < n_samples:
-        m = min(_BLOCK, n_samples - seen)
-        V = random_unit_vectors(d, m, rng)
-        y = np.exp(t * (1.0 - V[:, 0] ** 2))
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
-        seen += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean**2, 0.0)
-    se = math.sqrt(var / n_samples)
+    blocks = (
+        random_unit_vectors(d, min(_BLOCK, n_samples - a), rng)
+        for a in range(0, n_samples, _BLOCK)
+    )
+    mean, se = _sample_moments(blocks, n_samples, lambda V: np.exp(t * (1.0 - V[:, 0] ** 2)))
+    mean, se = float(mean), float(se)
     vacuous = bound > math.exp(t)  # weaker than the trivial Y <= 1 bound
     return CheckReport(
         name="mgf_beta",

@@ -19,7 +19,7 @@ from incpca.estimators import (
     EstimatorState,
     LearningRate,
     block_oja_step,
-    oja_step,
+    step,
 )
 from incpca.harness import (
     ExperimentConfig,
@@ -310,7 +310,7 @@ def test_ac10_block_oja():
     """Orthonormal frames stay orthonormal; p=1 reduces to the vector rule exactly."""
     rng = np.random.default_rng(SEED)
     V0 = np.linalg.qr(rng.standard_normal((20, 3)))[0]
-    bstate = BlockState(V=V0, n=0, lr=LearningRate(c=1.0, n_o=0))
+    bstate = BlockState(V=V0, n=0, lr=LearningRate(c=1.0))
     dist = CoordinateDistribution(p=0.3, sigma=0.5, d=20)
     data_rng = trial_rng(SEED, 0)
     worst = 0.0
@@ -325,14 +325,14 @@ def test_ac10_block_oja():
 
     # bit-identity of p=1 against the vector rule
     v0 = np.linalg.qr(rng.standard_normal((8, 1)))[0]
-    b1 = BlockState(V=v0.copy(), n=0, lr=LearningRate(c=1.0, n_o=0))
-    s1 = EstimatorState(V=v0[:, 0].copy(), n=0, rule=OJA, lr=LearningRate(c=1.0, n_o=0))
+    b1 = BlockState(V=v0.copy(), n=0, lr=LearningRate(c=1.0))
+    s1 = EstimatorState(V=v0[:, 0].copy(), n=0, rule=OJA, lr=LearningRate(c=1.0))
     data_rng = trial_rng(SEED, 1)
     identical = True
     for _ in range(10_000):
         x = data_rng.standard_normal(8)
         b1 = block_oja_step(b1, x)
-        s1 = oja_step(s1, x)
+        s1 = step(s1, x)
         if not np.array_equal(b1.V[:, 0], s1.V):
             identical = False
             break

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from incpca import cli
 from incpca.cli import build_parser, main
 
 
@@ -227,7 +228,9 @@ def test_run_input_errors_are_one_line(tmp_path, capsys, flags, message):
 )
 def test_nonpositive_rate_or_trial_count_is_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
-    assert main([*argv, "--out", str(out)]) == 2
+    # counterexample prints its result and has no --out
+    out_flag = [] if argv[0] == "counterexample" else ["--out", str(out)]
+    assert main([*argv, *out_flag]) == 2
     assert capsys.readouterr().err == f"incpca: error: {message}\n"
     assert not out.exists()
 
@@ -339,3 +342,70 @@ def test_readme_cli_commands_parse():
     assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+class _ReadLog:
+    """A parsed namespace that records the name of every attribute read from it."""
+
+    def __init__(self, ns, reads):
+        self._ns, self._reads = ns, reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._ns, name)
+
+
+def test_every_flag_of_a_subcommand_is_read(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "exp.csv")
+    # each --dist reads its own parameters, so both run
+    coordinate, gaussian = ["--dist", "coordinate"], ["--dist", "gaussian"]
+    run = ["run", "--c", "1", "--horizon", "30", "--trials", "2", "--grid-points", "10"]
+    bound = ["bound", "--c-o", "4", "--d", "3", "--delta", "0.25", "--n-o", "10",
+             "--lambda1", "0.9", "--lambda2", "0.05", "--n-min", "10", "--n-max", "100"]
+    argvs = {
+        "run": [[*run, *coordinate, "--out", out], [*run, *gaussian, "--out", out]],
+        "slope": [["slope", "--input", out, "--n-min", "1", "--n-max", "30"]],
+        "counterexample": [
+            ["counterexample", *coordinate, "--trials", "2", "--horizon", "20"],
+            ["counterexample", *gaussian, "--trials", "2", "--horizon", "20"],
+        ],
+        "schedule": [["schedule", "--delta", "0.1", "--d", "10", "--c-o", "4", "--c", "1",
+                      "--out", str(tmp_path / "sched.csv")]],
+        "bound": [[*bound, "--out", str(tmp_path / "bound.csv")]],
+        "verify": [["verify", "--samples", "100", "--trials", "2", "--steps", "5",
+                    "--out", str(tmp_path / "reports.csv")]],
+    }
+    reads = set()
+    parse_args = cli._Parser.parse_args
+    monkeypatch.setattr(
+        cli._Parser, "parse_args", lambda self, *a: _ReadLog(parse_args(self, *a), reads)
+    )
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert argvs.keys() == subcommands.keys()
+    unread = {}
+    for command, runs in argvs.items():
+        reads.clear()
+        for argv in runs:
+            assert main(argv) in (0, 1), capsys.readouterr().err
+        flags = {a.dest for a in subcommands[command]._actions} - {"help"}
+        if flags - reads:
+            unread[command] = flags - reads
+    assert unread == {}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["counterexample", "--out", "x.csv"], "--out x.csv"),
+        (["schedule", "--delta", "0.1", "--d", "10", "--c-o", "4", "--c", "1", "--seed", "1"],
+         "--seed 1"),
+    ],
+    ids=["counterexample-out", "schedule-seed"],
+)
+def test_a_flag_that_a_subcommand_does_not_read_is_a_one_line_error(
+    tmp_path, monkeypatch, capsys, argv, flag
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"incpca: error: unrecognized arguments: {flag}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -109,7 +109,7 @@ def test_simulate_matches_single_state_reference(dist, rule):
         if rule == "oja":
             v = v / np.linalg.norm(v)
         state = estimators.EstimatorState(
-            V=v, n=n_o, rule=rule, lr=estimators.LearningRate(c=c, n_o=n_o)
+            V=v, n=n_o, rule=rule, lr=estimators.LearningRate(c=c)
         )
         while state.n < horizon:
             for x in dist.sample_block(rng, min(CHUNK, horizon - state.n)):
@@ -341,6 +341,17 @@ def test_simulate_records_every_copy_of_a_repeated_grid_point(rule):
     assert np.array_equal(listed.psi, ref.psi)
     with pytest.raises(ValueError, match="nondecreasing"):
         simulate(DIST, rule, 1.0, 0, 100, 4, 1, grid=np.array([50, 10]))
+
+
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+def test_simulate_rejects_a_horizon_below_the_start_time(rule):
+    with pytest.raises(ValueError, match="horizon must be >= n_o"):
+        simulate(DIST, rule, 1.0, 10, 5, 2, 0)
+    # at horizon == n_o no step runs, and the one grid point holds the initial states
+    res = simulate(DIST, rule, 1.0, 10, 10, 2, 0)
+    V, _, _ = harness.init_states(DIST, rule, "random_unit", None, 0, range(2))
+    assert res.grid.tolist() == [10]
+    assert np.array_equal(res.psi[:, 0], linalg.potential(V, DIST.ground_truth().v_star))
 
 
 def test_run_experiment_aggregates():

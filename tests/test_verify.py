@@ -10,10 +10,10 @@ import pytest
 from scipy.special import hyp1f1
 
 from incpca import estimators, harness, linalg, theory, verify
-from incpca.distributions import CoordinateDistribution, GaussianSpectrum
+from incpca.distributions import CoordinateDistribution, GaussianSpectrum, random_unit_vectors
 from incpca.harness import CHUNK
 from incpca.linalg import potential
-from incpca.estimators import InitError, krasulina_update, xi, z_increment
+from incpca.estimators import krasulina_update, xi, z_increment
 from incpca.theory import beta_step
 from incpca.verify import (
     CheckReport,
@@ -163,19 +163,6 @@ def test_pathwise_zero_violations_both_rules():
         assert rep.empirical == 0.0
 
 
-def test_pathwise_init_failure_raises():
-    with pytest.raises(InitError):
-        check_pathwise(
-            CoordinateDistribution(p=0.3, sigma=0.5, d=4),
-            "krasulina",
-            steps=10,
-            trials=20,
-            master_seed=0,
-            init_mode="average_k",
-            init_k=2,
-        )
-
-
 @pytest.mark.parametrize(
     "faults, expected, count",
     [
@@ -306,6 +293,23 @@ def test_expectation_checks_move_only_in_the_last_digits():
         assert rep.std_error == pytest.approx(
             float(zs.std(ddof=1)) / math.sqrt(100_000), rel=1e-12, abs=0
         )
+
+
+@pytest.mark.parametrize("n", [2, 100_000, 250_000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mgf_moments_are_the_written_out_mean_and_standard_error(n, seed):
+    # y = e^{t(1 - V_1^2)} from one draw of all n vectors; the check draws
+    # the same stream in blocks and merges their moments
+    d, t = 10, 5.0
+    rng = np.random.default_rng(seed)
+    y = np.exp(t * (1.0 - random_unit_vectors(d, n, rng)[:, 0] ** 2))
+    check_rng = np.random.default_rng(seed)
+    rep = check_mgf(d, t, n, check_rng)
+    assert check_rng.bit_generator.state == rng.bit_generator.state
+    assert rep.empirical == pytest.approx(float(y.mean()), rel=1e-12, abs=0)
+    assert rep.std_error == pytest.approx(
+        float(y.std(ddof=1)) / math.sqrt(n), rel=1e-12, abs=0
+    )
 
 
 def test_pathwise_hand_worked_step():

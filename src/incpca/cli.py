@@ -54,6 +54,20 @@ class _Parser(argparse.ArgumentParser):
         return value
 
 
+def _float_list(text: str) -> str:
+    """--eigenvalues' type: the text itself, once each comma separated item is a float.
+
+    The parsed value stays text, as `_make_dist` and other readers of the
+    parser's namespace take it.
+    """
+    try:
+        for s in text.split(","):
+            float(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _make_dist(args):
     if args.dist == "coordinate":
         return CoordinateDistribution(p=args.p, sigma=args.sigma, d=args.d)
@@ -71,7 +85,9 @@ def _add_dist_args(p):
     p.add_argument("--p", type=float, default=0.2)
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--d", type=int, default=10)
-    p.add_argument("--eigenvalues", default="2,1", help="comma separated, descending")
+    p.add_argument(
+        "--eigenvalues", type=_float_list, default="2,1", help="comma separated, descending"
+    )
     p.add_argument("--clip-radius", type=float, default=0.0, help="0 = 10*trace default")
 
 

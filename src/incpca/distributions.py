@@ -11,6 +11,7 @@ function of those two integers regardless of execution schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,8 @@ class GaussianSpectrum:
         object.__setattr__(self, "eigenvalues", lam)
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("need at least two eigenvalues")
+        if not np.isfinite(lam).all():
+            raise ValueError(f"eigenvalues must be finite, got {lam.tolist()}")
         if np.any(lam <= 0) or np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be positive and descending")
         if lam[0] <= lam[1]:
@@ -171,8 +174,8 @@ class GaussianSpectrum:
                 raise ValueError("rotation is not orthogonal")
         if self.clip_radius == 0.0:
             object.__setattr__(self, "clip_radius", 10.0 * float(lam.sum()))
-        if self.clip_radius <= 0:
-            raise ValueError("clip_radius must be positive")
+        if not 0 < self.clip_radius < math.inf:
+            raise ValueError(f"clip_radius must be positive and finite, got {self.clip_radius}")
 
     @property
     def d(self) -> int:

@@ -15,6 +15,7 @@ scale-invariant, so this is observationally neutral.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -180,10 +181,32 @@ class BlockState:
 
     def __post_init__(self):
         self.V = np.asarray(self.V, dtype=float)
-        p = self.V.shape[1]
-        # written so that a nan entry fails it too
-        if not np.abs(self.V.T @ self.V - np.eye(p)).max() <= 1e-10:
-            raise ValueError("columns must be orthonormal")
+        if self.V.ndim != 2 or self.V.shape[1] < 1:
+            raise ValueError(f"V must be a 2-D d x p frame, p >= 1, got shape {self.V.shape}")
+        _require_orthonormal(self.V.T)
+
+
+@functools.cache
+def _eye(p: int) -> np.ndarray:
+    """The p x p identity, read-only because every call shares it."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
+def _require_orthonormal(Vt: np.ndarray) -> None:
+    """Raise unless the rows of Vt (p x d) are orthonormal: max|Vt Vtᵀ - I| <= 1e-10.
+
+    The one frame check of `BlockState` and `block_oja_step`.  It is what
+    rejects a frame made non-finite by a nan or inf sample, and also a
+    finite frame that Gram-Schmidt left off the Stiefel manifold, which a
+    finiteness test would miss.
+    """
+    G = Vt @ Vt.T
+    G -= _eye(len(G))
+    # written so that a nan entry fails it too
+    if not np.abs(G, out=G).max() <= 1e-10:
+        raise ValueError("columns must be orthonormal")
 
 
 def _mgs(W: np.ndarray, rng: np.random.Generator) -> int:
@@ -198,7 +221,7 @@ def _mgs(W: np.ndarray, rng: np.random.Generator) -> int:
     collapses = 0
     for j in range(p):
         w = W[j]
-        norm = float(np.sqrt(_einsum("i,i->", w, w)))
+        norm = math.sqrt(_einsum("i,i->", w, w))
         if norm < 1e-12:
             collapses += 1
             while True:
@@ -209,8 +232,9 @@ def _mgs(W: np.ndarray, rng: np.random.Generator) -> int:
                 if norm >= 1e-6:
                     break
         w = np.divide(w, norm, out=W[j])
-        rest = W[j + 1 :]
-        rest -= (rest @ w)[:, None] * w
+        if j < p - 1:
+            rest = W[j + 1 :]
+            rest -= (rest @ w)[:, None] * w
     return collapses
 
 
@@ -220,19 +244,24 @@ def block_oja_step(bstate: BlockState, x) -> BlockState:
     Both run in place on the rows of V' (p x d), copied from the input's V
     by the growth; the growth and each row's norm are oja_update's
     arithmetic, so p = 1 trajectories reproduce `step` on an Oja state bit-for-bit.
+    The successor is built like `_successor`'s, without re-validation, once
+    `_require_orthonormal` has passed on V'.
     """
     x = np.asarray(x, dtype=float)
     n = bstate.n + 1
     Vt = bstate.V.T
     W = Vt + (bstate.lr.gamma(n) * _einsum("...i,...i->...", Vt, x))[..., None] * x
     collapses = _mgs(W, bstate._rng)
-    return BlockState(
+    _require_orthonormal(W)
+    succ = object.__new__(BlockState)
+    succ.__dict__.update(
         V=W.T,
         n=n,
         lr=bstate.lr,
         collapse_events=bstate.collapse_events + collapses,
         _rng=bstate._rng,
     )
+    return succ
 
 
 def init_vector(mode, d: int, dist=None, rng=None, k: int | None = None) -> np.ndarray:

@@ -331,6 +331,38 @@ def test_bad_flags_are_one_line(capsys, argv, message):
     assert capsys.readouterr().err == f"incpca: error: {message}\n"
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_a_bad_eigenvalue_list_names_its_flag(tmp_path, capsys, route):
+    argv = ["run", "--dist", "gaussian", "--c", "1", "--horizon", "10", "--trials", "1",
+            "--out", str(tmp_path / "x.csv")]
+    if route == "flag":
+        argv += ["--eigenvalues", "1,x"]
+    else:
+        (tmp_path / "run.cfg").write_text("eigenvalues = 1,x\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "incpca: error: argument --eigenvalues: could not convert string to float: 'x'\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_parsed_eigenvalues_stay_text():
+    # the benchmark's workloads build the distribution from this text
+    args = build_parser().parse_args(["run", "--eigenvalues", "1.0,0.5"])
+    assert args.eigenvalues == "1.0,0.5"
+
+
+def test_a_non_finite_eigenvalue_is_one_line_before_any_step(tmp_path, capsys):
+    argv = ["run", "--dist", "gaussian", "--eigenvalues", "2,1,nan", "--c", "1",
+            "--horizon", "10", "--trials", "2", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "incpca: error: eigenvalues must be finite, got [2.0, 1.0, nan]\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_readme_cli_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)

@@ -74,6 +74,20 @@ class TestGaussianSpectrum:
         with pytest.raises(ValueError):
             GaussianSpectrum([1.0, 0.5, -0.1])
 
+    @pytest.mark.parametrize(
+        "eigenvalues, clip_radius, message",
+        [
+            ([2.0, np.nan], 0.0, "eigenvalues must be finite"),
+            ([np.inf, 1.0], 0.0, "eigenvalues must be finite"),
+            ([2.0, 1.0], np.inf, "clip_radius must be positive and finite"),
+            ([2.0, 1.0], np.nan, "clip_radius must be positive and finite"),
+        ],
+        ids=["nan-eigenvalue", "inf-eigenvalue", "inf-radius", "nan-radius"],
+    )
+    def test_non_finite_input_is_rejected(self, eigenvalues, clip_radius, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianSpectrum(eigenvalues, clip_radius=clip_radius)
+
     def test_ground_truth_matches_rotation(self):
         rng = np.random.default_rng(9)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incpca.distributions import CoordinateDistribution, trial_rng
+from incpca.distributions import CoordinateDistribution, random_unit_vector, trial_rng
 from incpca.estimators import (
     KRASULINA,
     OJA,
@@ -21,6 +21,7 @@ from incpca.estimators import (
     xi,
     z_increment,
 )
+from incpca.linalg import _einsum
 
 
 def test_learning_rate_schedule():
@@ -216,6 +217,44 @@ class TestInitVector:
             init_vector("nope", d=3, rng=np.random.default_rng(0))
 
 
+def _reference_mgs(W, rng):
+    """Gram-Schmidt as first written: np.sqrt norms, a projection after every row."""
+    p, d = W.shape
+    collapses = 0
+    for j in range(p):
+        w = W[j]
+        norm = float(np.sqrt(_einsum("i,i->", w, w)))
+        if norm < 1e-12:
+            collapses += 1
+            while True:
+                w = random_unit_vector(d, rng)
+                for q in W[:j]:
+                    w = w - _einsum("i,i->", q, w) * q
+                norm = float(np.sqrt(_einsum("i,i->", w, w)))
+                if norm >= 1e-6:
+                    break
+        w = np.divide(w, norm, out=W[j])
+        rest = W[j + 1 :]
+        rest -= (rest @ w)[:, None] * w
+    return collapses
+
+
+def _reference_block_step(bstate, x):
+    """The block step with `_reference_mgs`, its successor built by BlockState's constructor."""
+    x = np.asarray(x, dtype=float)
+    n = bstate.n + 1
+    Vt = bstate.V.T
+    W = Vt + (bstate.lr.gamma(n) * _einsum("...i,...i->...", Vt, x))[..., None] * x
+    collapses = _reference_mgs(W, bstate._rng)
+    return BlockState(
+        V=W.T,
+        n=n,
+        lr=bstate.lr,
+        collapse_events=bstate.collapse_events + collapses,
+        _rng=bstate._rng,
+    )
+
+
 class TestBlockOja:
     def test_orthonormality_preserved(self):
         rng = np.random.default_rng(41)
@@ -281,6 +320,53 @@ class TestBlockOja:
         bstate = BlockState(V=V, n=0, lr=LearningRate(c=1.0))
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="orthonormal"):
             block_oja_step(bstate, np.array([0.5, bad, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_steps_match_the_written_out_step_bit_for_bit(self, p):
+        rng = np.random.default_rng(42 + p)
+        V = np.linalg.qr(rng.standard_normal((20, p)))[0]
+        lr = LearningRate(c=1.0)
+        bstate = BlockState(V=V, n=0, lr=lr, _rng=np.random.default_rng(p))
+        ref = BlockState(V=V, n=0, lr=lr, _rng=np.random.default_rng(p))
+        dist = CoordinateDistribution(p=0.3, sigma=0.5, d=20)
+        for x in dist.sample_block(trial_rng(42, p), 3000):
+            bstate, ref = block_oja_step(bstate, x), _reference_block_step(ref, x)
+            assert np.array_equal(bstate.V, ref.V)
+        assert (bstate.n, bstate.collapse_events) == (ref.n, ref.collapse_events) == (3000, 0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 0.0, 0.0], [1.5, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]],
+            [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+        ],
+        ids=["second-of-two", "first", "middle", "last"],
+    )
+    def test_collapse_repair_matches_the_written_out_mgs_bit_for_bit(self, rows):
+        from incpca.estimators import _mgs
+
+        W, W_ref = np.array(rows), np.array(rows)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        assert _mgs(W, rng) == _reference_mgs(W_ref, ref_rng) == 1
+        assert np.array_equal(W, W_ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_finite_sample_that_leaves_the_frame_off_orthonormal_raises(self):
+        # finite throughout, and the frame keeps squared norm 2.0; only the Gram check sees
+        # the 5e-7 drift that Gram-Schmidt leaves at this scale
+        V = np.linalg.qr(np.random.default_rng(53).standard_normal((4, 2)))[0]
+        bstate = BlockState(V=V, n=0, lr=LearningRate(c=1.0))
+        with pytest.raises(ValueError, match="orthonormal"):
+            block_oja_step(bstate, 1e5 * np.array([1.0, 0.3, -0.2, 1e-6]))
+
+    @pytest.mark.parametrize(
+        "V", [np.ones(3), np.ones((2, 2, 1)), np.zeros((3, 0))], ids=["1-d", "3-d", "no-column"]
+    )
+    def test_a_malformed_frame_shape_is_rejected(self, V):
+        with pytest.raises(ValueError, match="2-D"):
+            BlockState(V=V, n=0, lr=LearningRate(c=1.0))
 
     def test_collapse_is_repaired_and_counted(self):
         from incpca.estimators import _mgs

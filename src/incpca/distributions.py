@@ -107,8 +107,10 @@ class CoordinateDistribution:
 
         The support of all n draws is drawn at once (an index and a sign per
         sample), so the stream is consumed as by one sample_block call; only
-        one dense block is built at a time.
+        one dense block is built at a time.  n < 0 or size < 1 raises
+        ValueError at the first block, before the stream is read.
         """
+        _check_block_sizes(n, size)
         coords, signs = self.draw_support(rng, n)
         for a in range(0, n, size):
             yield self._scatter(coords[a : a + size], signs[a : a + size])
@@ -225,7 +227,7 @@ class GaussianSpectrum:
         rejected = 0
         while True:
             bad = _einsum("ij,ij->i", block, block) > self.clip_radius
-            nbad = int(bad.sum())
+            nbad = np.count_nonzero(bad)
             if nbad == 0:
                 break
             rejected += nbad
@@ -242,15 +244,45 @@ class GaussianSpectrum:
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
         """Blocks of at most `size` rows that concatenate to sample_block(rng, n).
 
-        They are slices of one sample_block(rng, n) draw: a rejection redraws
-        from the stream, so drawing block by block would change the draws.
+        Each block is drawn by its own sample_block call.  numpy's normal
+        stream is prefix-consistent, so without a rejection these are the rows
+        of the one n-row draw, and the generator ends where that draw leaves
+        it.  That draw redraws a rejected row only after all n rows, so at the
+        first block that rejects a row the generator is rewound to where this
+        reader started, and one sample_block(rng, n) serves the rest.  No draw
+        is 1 row high unless n is 1 (a 1-row tail is drawn with the block
+        before it): a 1-row rotation is a matrix-vector product, whose bits
+        differ from the same row's in a taller product.  n < 0 or size < 1
+        raises ValueError at the first block, before the stream is read.
         """
-        block = self.sample_block(rng, n)
-        for a in range(0, n, size):
-            yield block[a : a + size]
+        _check_block_sizes(n, size)
+        start = rng.bit_generator.state
+        height = max(size, 2)
+        a = 0
+        while a < n:
+            m = n - a if n - a <= height + 1 else height
+            block, rejected = self.sample_block(rng, m, return_rejections=True)
+            if rejected:
+                rng.bit_generator.state = start
+                block = self.sample_block(rng, n)[a:]
+                m = n - a
+            a += m
+            # handed over from a list, so that this frame keeps no reference
+            # to a block the caller has let go of
+            views = [block[b : b + size] for b in range(0, m, size)][::-1]
+            del block
+            while views:
+                yield views.pop()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_block(rng, 1)[0]
+
+
+def _check_block_sizes(n: int, size: int) -> None:
+    if n < 0:
+        raise ValueError(f"need n >= 0 samples, got {n}")
+    if size < 1:
+        raise ValueError(f"need a block size >= 1, got {size}")
 
 
 def random_unit_vectors(d: int, m: int, rng: np.random.Generator) -> np.ndarray:

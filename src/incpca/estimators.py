@@ -100,7 +100,9 @@ class EstimatorState:
 def _increment(v: np.ndarray, x: np.ndarray, nsq) -> np.ndarray:
     """xi(v, x) for a v whose squared norm nsq is already known."""
     dot = _einsum("...i,...i->...", v, x)
-    return dot[..., None] * x - (dot * dot / nsq)[..., None] * v
+    inc = dot[..., None] * x
+    inc -= (dot * dot / nsq)[..., None] * v
+    return inc
 
 
 def xi(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -133,18 +135,33 @@ def z_increment(v, x, gamma, v_star):
 
 
 def krasulina_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
-    """One Krasulina step; V and x may be (d,) or per-trial (T, d) rows."""
-    return V + gamma * _increment(V, x, _einsum("...i,...i->...", V, V))
+    """One Krasulina step; V and x may be (d,) or per-trial (T, d) rows.
+
+    V + gamma * xi, computed in place in the increment: IEEE + and * commute,
+    so the bits are those of the written-out expression.
+    """
+    W = _increment(V, x, _einsum("...i,...i->...", V, V))
+    W *= gamma
+    W += V
+    return W
 
 
 def oja_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
-    """One Oja step (rank-one growth + normalization); batched like above."""
+    """One Oja step (rank-one growth + normalization); batched like above.
+
+    (V + (gamma (V.x)) x) / |.|, computed in place in the growth array with
+    the written-out expression's bits.  On (d,) inputs the dot and norm are
+    numpy scalars, which the in-place operators rebind.
+    """
     dot = _einsum("...i,...i->...", V, x)
-    W = V + (gamma * dot)[..., None] * x
+    dot *= gamma
+    W = dot[..., None] * x
+    W += V
     norms = np.sqrt(_einsum("...i,...i->...", W, W))
-    if np.any(norms < 1e-300):
+    if np.count_nonzero(norms < 1e-300):
         raise FloatingPointError("Oja denominator underflow")
-    return W / norms[..., None]
+    W /= norms[..., None]
+    return W
 
 
 def _successor(state: EstimatorState, V: np.ndarray, n: int) -> EstimatorState:

@@ -16,10 +16,16 @@ draws from its own counter-based stream, so any trial's trajectory is a
 pure function of (master_seed, trial_id) and is identical whether the
 trial runs alone or inside a batch.  Every chunk is held step-major, so
 each step reads its samples as one contiguous (trials, d) block, and is
-filled on every CPU the process may use (`_draw_rows`); a trial's stream
-is read by one thread only, so its draws are identical whichever thread
-makes them.  `step_batches` groups a run's steps for the batched
-potential and pathwise checks.
+filled on every CPU the process may use; a trial's stream is read by one
+thread at a time, so its draws are identical whichever thread makes them.
+A run's samples live in one reused buffer, and how a chunk is drawn
+depends on its size alone, never on the source type (`_chunk_blocks`): a
+chunk of at most CHUNK_BYTES is drawn whole, one `sample_block` call per
+trial, and a larger one CHUNK_BYTES // (trials * d * 8) steps at a time,
+each trial from its own `sample_blocks` reader, which draws the same rows.
+So a yielded sample block is valid only until the next one is drawn.
+`step_batches` groups a run's steps for the batched potential and
+pathwise checks.
 """
 
 from __future__ import annotations
@@ -59,6 +65,8 @@ __all__ = [
 # steps per sampling chunk; fixed so that chunk boundaries (and hence each
 # trial's draw sequence) never depend on runtime conditions
 CHUNK = 2048
+# a chunk of more bytes than this is drawn a sub-block of steps at a time
+CHUNK_BYTES = 64 * 2**20
 ROWS = 4096  # (step, trial) rows per call of the potential and pathwise checks
 TRAP_THRESHOLD = 0.99  # a final potential above this counts as trapped
 # CPUs this process may run on: the threads that fill a chunk
@@ -139,23 +147,12 @@ def init_states(dist, rule, init_mode, init_k, master_seed, trial_ids):
     return V, failed, rngs
 
 
-def _draw_rows(X, dist, rngs, m, workers):
-    """Fill row r of the (T, m, d) array X with m draws from rngs[r].
+def _on_threads(fill, T: int, workers: int) -> None:
+    """fill(rows) over range(T), cut into `workers` contiguous parts of rows.
 
-    X[r] may be strided (a trial's column of a step-major chunk); each is
-    filled by one `sample_block(..., out=X[r])` call.  The rows are cut
-    into `workers` contiguous parts: worker threads fill parts 2..k while
-    the calling thread fills part 1.  A row reads only its own generator,
-    and no generator is used by two threads, so X is bitwise the same for
-    any `workers`.  A part's exception is raised after every part has
-    finished.
+    Worker threads take parts 2..k while the calling thread takes part 1.
+    A part's exception is raised after every part has finished.
     """
-
-    def fill(rows):
-        for row in rows:
-            dist.sample_block(rngs[row], m, out=X[row])
-
-    T = len(rngs)
     workers = min(workers, T)
     cuts = [T * k // workers for k in range(workers + 1)]
     parts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
@@ -170,38 +167,79 @@ def _draw_rows(X, dist, rngs, m, workers):
             future.result()
 
 
+def _draw_rows(X, dist, rngs, m, workers):
+    """Fill row r of the (T, m, d) array X with m draws from rngs[r].
+
+    X[r] may be strided (a trial's column of a step-major chunk); each is
+    filled by one `sample_block(..., out=X[r])` call, on `workers` threads
+    (`_on_threads`).  A row reads only its own generator, and no generator
+    is used by two threads, so X is bitwise the same for any `workers`.
+    """
+
+    def fill(rows):
+        for row in rows:
+            dist.sample_block(rngs[row], m, out=X[row])
+
+    _on_threads(fill, len(rngs), workers)
+
+
+def _chunk_blocks(dist, rngs, m: int, buf):
+    """The samples of an m-step chunk as step-major views of buf, in step order.
+
+    buf is an (S, T, d) array.  A chunk of at most S steps is drawn whole
+    into buf[:m], each trial's column by one `sample_block(..., out=)` call
+    (`_draw_rows`).  A longer one is drawn S steps at a time, each trial's
+    rows read from its own `sample_blocks(rng, m, S)` reader on CPUS
+    threads; a reader draws what one `sample_block(rng, m)` draws, so the
+    choice changes no bit.  A block is overwritten when the next is drawn.
+    """
+    S = len(buf)
+    if m <= S:
+        _draw_rows(buf[:m].transpose(1, 0, 2), dist, rngs, m, CPUS)
+        yield buf[:m]
+        return
+    readers = [dist.sample_blocks(rng, m, S) for rng in rngs]
+    for a in range(0, m, S):
+        cols = buf[: m - a].transpose(1, 0, 2)
+
+        def fill(rows):
+            for row in rows:
+                cols[row] = next(readers[row])
+
+        _on_threads(fill, len(rngs), CPUS)
+        yield buf[: m - a]
+
+
 def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
     """The update recurrence for the rows of V, one trial per row, in lockstep.
 
     Each trial draws its samples from its own stream in CHUNK-sized blocks;
     step n uses gamma_n = c/n.  Yields (n, gamma, x, V_prev, V) after each
-    step n = n_o+1 .. horizon, where x holds the rows' samples.  Yielded
-    arrays are never written to afterwards: a Krasulina renormalization
-    (at the end of a chunk) replaces the state with a new array.
+    step n = n_o+1 .. horizon, where x holds the rows' samples.  The states
+    are never written to afterwards: a Krasulina renormalization (at the
+    end of a chunk) replaces the state with a new array.  x is valid until
+    the next block of samples is drawn; callers that keep it copy it.
 
-    Each chunk is held step-major, (m, T, d), so that step i reads its
-    samples X[i] as one contiguous (T, d) block; it is drawn on CPUS
-    threads, each trial straight into its strided column.
+    The samples live in one step-major buffer, so that step i reads its
+    samples X[i] as one contiguous (T, d) block.  It holds a whole chunk
+    when one fits CHUNK_BYTES, and otherwise CHUNK_BYTES // (T d 8) steps
+    (`_chunk_blocks`), so the run's memory is bounded and its draws are
+    the same either way.
     """
     if rule not in (KRASULINA, OJA):
         raise ValueError(f"unknown rule {rule!r}")
     update = estimators.krasulina_update if rule == KRASULINA else estimators.oja_update
     T, d = V.shape
+    steps = min(CHUNK, horizon - n_o, max(1, CHUNK_BYTES // (T * d * 8)))
+    buf = np.empty((steps, T, d))
     n = n_o
     while n < horizon:
-        m = min(CHUNK, horizon - n)
-        # X[i] holds step i's samples; X.transpose(1, 0, 2)[r] is trial r's block
-        X = np.empty((m, T, d))
-        _draw_rows(X.transpose(1, 0, 2), dist, rngs, m, CPUS)
-        for i in range(m):
-            n += 1
-            gamma = c / n
-            x = X[i]
-            V_prev, V = V, update(V, x, gamma)
-            yield n, gamma, x, V_prev, V
-        # free this chunk before the next is allocated and filled: a view
-        # kept into it would double peak memory on wide batches
-        del X, x
+        for X in _chunk_blocks(dist, rngs, min(CHUNK, horizon - n), buf):
+            for x in X:
+                n += 1
+                gamma = c / n
+                V_prev, V = V, update(V, x, gamma)
+                yield n, gamma, x, V_prev, V
         if rule == KRASULINA:
             norms = np.linalg.norm(V, axis=1)
             big = norms > RENORM_THRESHOLD

@@ -15,9 +15,11 @@ experiments run, and takes xi and Z from `estimators.xi` /
 `estimators.z_increment`.
 
 The Monte Carlo checks hold one block of at most _BLOCK samples at a time,
-not the sample matrix; the xi and z checks also hold the compact support of
-a coordinate draw (an index and a sign per sample), so that they see the
-draws of one `sample_block` call.  All three merge their block moments in
+not the sample matrix, and the xi and z checks see the draws of one
+`sample_block` call: on coordinate data they also hold the compact support
+of the draw (an index and a sign per sample), and on Gaussian data the
+whole draw once a block rejects a row (`GaussianSpectrum.sample_blocks`
+replays it from the start).  All three merge their block moments in
 `_sample_moments`, so above _BLOCK samples their values differ from a
 one-shot mean and standard deviation (n - 1 form) in the last bits only.
 """
@@ -285,8 +287,8 @@ def _owned_samples(run):
     """The steps of `run`, each x copied out of its sample chunk.
 
     A batch of `harness.step_batches` holds up to ROWS // trials steps.
-    Holding views, a batch that spans a chunk boundary would keep the old
-    chunk alive while `harness.trajectories` draws the next one.
+    Holding views, it would read samples that `harness.trajectories` has
+    overwritten with the next block it drew.
     """
     for n, gamma, x, V_prev, V in run:
         x = x.copy()  # drops the view before the next step is asked for

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incpca import cli, estimators
+from incpca import cli, estimators, harness
 from incpca.distributions import CoordinateDistribution
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -70,3 +70,21 @@ def test_every_mapped_metric_sees_a_call(workload, tmp_path):
     with spans.installed(spans.Tracer()) as tracer:
         workload(tmp_path)
     assert tracer.unrecorded(workload.__name__) == []
+
+
+# spans.py wraps sample_block but not sample_blocks, so a coordinate chunk
+# drawn in sub-blocks is missing from the sampling metrics; the benchmark's
+# coordinate chunks (16 MB on coord_readme, 8 MB on verify_long) fit
+# harness.CHUNK_BYTES and are drawn whole, one sample_block call per trial
+SAMPLING = [f"distributions.sample_block.{m}" for m in ("s", "calls", "rows")]
+
+
+@pytest.mark.parametrize("workload, unrecorded", [(gauss_wide, []), (coord_readme, SAMPLING)],
+                         ids=["gauss_wide", "coord_readme"])
+def test_the_sub_block_path_under_the_tracer(workload, unrecorded, tmp_path, monkeypatch):
+    # small enough that every chunk is drawn a sub-block of steps at a time
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 4096)
+    spans = _spans()
+    with spans.installed(spans.Tracer()) as tracer:
+        workload(tmp_path)
+    assert tracer.unrecorded(workload.__name__) == unrecorded

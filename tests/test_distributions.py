@@ -236,19 +236,50 @@ def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
         assert np.array_equal(y, ref)
 
 
+# CLIPPED's rotation at the default clip radius, where 1000 draws reject
+# nothing, and at a radius where the first of 13 rejections (seed 8) is row 58
+ROTATED = GaussianSpectrum(CLIPPED.eigenvalues, rotation=CLIPPED.rotation)
+LATE_REJECTION = GaussianSpectrum(CLIPPED.eigenvalues, rotation=CLIPPED.rotation, clip_radius=15.0)
+
+
 @pytest.mark.parametrize(
     "dist",
-    [CoordinateDistribution(p=0.3, sigma=0.5, d=5), CLIPPED],
-    ids=["coordinate", "gaussian"],
+    [CoordinateDistribution(p=0.3, sigma=0.5, d=5), CLIPPED, ROTATED, LATE_REJECTION],
+    ids=["coordinate", "gaussian", "rotated", "late-rejection"],
 )
-@pytest.mark.parametrize("size", [1, 300, 1000, 5000])
+@pytest.mark.parametrize("size", [1, 2, 7, 300, 999, 1000, 5000])
 def test_sample_blocks_concatenate_to_one_sample_block(dist, size):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     ref = dist.sample_block(ref_rng, 1000)
     blocks = list(dist.sample_blocks(rng, 1000, size))
     assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= size
     assert np.array_equal(np.concatenate(blocks), ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_the_gaussian_sources_reach_both_ways_of_drawing_blocks():
+    # ROTATED draws every block on its own, LATE_REJECTION replays after row 58
+    assert ROTATED.sample_block(np.random.default_rng(8), 1000, return_rejections=True)[1] == 0
+    rows = np.random.default_rng(8).standard_normal((1000, 3)) * np.sqrt(CLIPPED.eigenvalues)
+    rejected = np.nonzero(np.einsum("ij,ij->i", rows, rows) > LATE_REJECTION.clip_radius)[0]
+    assert rejected[0] == 58
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [CoordinateDistribution(p=0.3, sigma=0.5, d=5), CLIPPED],
+    ids=["coordinate", "gaussian"],
+)
+@pytest.mark.parametrize("n, size", [(10, 0), (10, -3), (-1, 5)])
+def test_sample_blocks_rejects_a_bad_size_before_reading_the_stream(dist, n, size):
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="need"):
+        next(dist.sample_blocks(rng, n, size))
+    assert rng.bit_generator.state == state
+    assert list(dist.sample_blocks(rng, 0, 5)) == []
+    assert rng.bit_generator.state == state
 
 
 def test_random_unit_vectors_are_unit_norm():

@@ -140,6 +140,24 @@ def test_batched_updates_match_loop():
         xi(np.vstack([V[:2], np.zeros(4)]), X[:3])
 
 
+@pytest.mark.parametrize("shape", [(7,), (50, 7)], ids=["vector", "rows"])
+def test_in_place_kernels_keep_the_written_out_bits(shape):
+    rng = np.random.default_rng(41)
+    V, X = rng.standard_normal(shape), rng.standard_normal(shape)
+    U = V / np.sqrt(_einsum("...i,...i->...", V, V))[..., None]
+    V0, U0, X0 = V.copy(), U.copy(), X.copy()
+    gamma = 0.37
+    dot = _einsum("...i,...i->...", V, X)
+    nsq = _einsum("...i,...i->...", V, V)
+    ref_k = V + gamma * (dot[..., None] * X - (dot * dot / nsq)[..., None] * V)
+    W = U + (gamma * _einsum("...i,...i->...", U, X))[..., None] * X
+    ref_o = W / np.sqrt(_einsum("...i,...i->...", W, W))[..., None]
+    assert np.array_equal(krasulina_update(V, X, gamma), ref_k)
+    assert np.array_equal(oja_update(U, X, gamma), ref_o)
+    # the in-place arithmetic writes only into arrays the kernels made
+    assert np.array_equal(V, V0) and np.array_equal(U, U0) and np.array_equal(X, X0)
+
+
 def test_step_dispatch_and_state_bookkeeping():
     lr = LearningRate(c=1.0)
     v0 = np.array([1.0, 1.0])

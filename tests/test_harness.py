@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incpca import estimators, harness, linalg, verify
-from incpca.distributions import CoordinateDistribution, GaussianSpectrum, trial_rng
+from incpca.distributions import (
+    CoordinateDistribution,
+    GaussianSpectrum,
+    random_unit_vector,
+    trial_rng,
+)
 from incpca.harness import (
     CHUNK,
     Aggregate,
@@ -33,6 +38,14 @@ ROTATED = GaussianSpectrum(
     eigenvalues=np.array([1.0, 0.5, 0.25]),
     rotation=np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0],
 )
+# about 400 rejections in 7 trials of CHUNK + 40 steps
+TIGHT = GaussianSpectrum(eigenvalues=np.array([1.0, 0.5, 0.25]), clip_radius=6.0)
+
+
+def budgets(T, d):
+    """CHUNK_BYTES values at which a (T, d) run draws every chunk whole, or
+    in sub-blocks of 1, 2, 7 or CHUNK - 1 steps (the last leaves a 1-step tail)."""
+    return [CHUNK * T * d * 8] + [S * T * d * 8 for S in (1, 2, 7, CHUNK - 1)]
 
 
 def test_log_grid_properties():
@@ -168,12 +181,65 @@ def test_trajectories_steps_through_one_chunk_layout_per_source(dist):
 )
 def test_simulate_does_not_depend_on_the_cpu_count(monkeypatch, dist, rule):
     runs = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(harness, "CPUS", cpus)
-        runs.append(simulate(dist, rule, 1.5, 0, CHUNK + 40, 7, 8, track_max=True))
+    for budget in (harness.CHUNK_BYTES, 7 * 7 * dist.d * 8):  # whole chunks, 7-step sub-blocks
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "CPUS", cpus)
+            runs.append(simulate(dist, rule, 1.5, 0, CHUNK + 40, 7, 8, track_max=True))
     for res in runs[1:]:
         assert np.array_equal(res.psi, runs[0].psi)
         assert np.array_equal(res.max_psi, runs[0].max_psi)
+
+
+def test_the_named_gaussian_draw_is_rejected():
+    # at master seed 0, trial 2 rejects the row of step 1158 at GAUSS's
+    # default clip radius, so the sub-block path replays its first chunk
+    rng = trial_rng(0, 2)
+    random_unit_vector(GAUSS.d, rng)  # the random_unit init
+    rows = rng.standard_normal((CHUNK, GAUSS.d)) * np.sqrt(GAUSS.eigenvalues)
+    assert np.nonzero(np.einsum("ij,ij->i", rows, rows) > GAUSS.clip_radius)[0].tolist() == [1157]
+    rejected = sum(TIGHT.sample_block(trial_rng(0, t), CHUNK + 40, return_rejections=True)[1]
+                   for t in range(7))
+    assert rejected > 300
+
+
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+@pytest.mark.parametrize(
+    "dist", [GAUSS, TIGHT, ROTATED, DIST], ids=["gaussian", "tight-clip", "rotated", "coordinate"]
+)
+def test_sub_blocks_keep_every_bit_of_simulate(monkeypatch, dist, rule):
+    # CHUNK + 40 steps: a full chunk, then one of 40 steps; one thread, as
+    # the cpu-count test covers the threads
+    monkeypatch.setattr(harness, "CPUS", 1)
+    runs = []
+    for budget in budgets(7, dist.d):
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        runs.append(simulate(dist, rule, 1.5, 0, CHUNK + 40, 7, 0, track_max=True))
+    for res in runs[1:]:
+        assert np.array_equal(res.psi, runs[0].psi)
+        assert np.array_equal(res.max_psi, runs[0].max_psi)
+
+
+@pytest.mark.parametrize("dist", [ROTATED, DIST], ids=["rotated", "coordinate"])
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+def test_sub_blocks_keep_the_pathwise_report(monkeypatch, dist, rule):
+    reports = []
+    for budget in budgets(5, dist.d)[::2]:  # whole, 2-step and CHUNK - 1 step sub-blocks
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        reports.append(verify.check_pathwise(dist, rule, CHUNK + 40, 5, 3))
+    assert reports[0].passed
+    assert reports[1:] == reports[:1] * 2
+
+
+def test_sub_blocks_keep_the_run_csv(monkeypatch, tmp_path):
+    for dist in (GAUSS, TIGHT, DIST):
+        cfg = ExperimentConfig(dist=dist, c=2.0, horizon=CHUNK + 40, trials=7, grid_points=30)
+        files = []
+        for budget in budgets(7, dist.d)[::2]:
+            monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+            files.append(tmp_path / f"{len(files)}.csv")
+            write_experiment_csv(files[-1], cfg, run_experiment(cfg))
+        assert files[1].read_bytes() == files[0].read_bytes() == files[2].read_bytes()
 
 
 @pytest.mark.parametrize("bad_row", [0, 5])  # the calling thread's part, a worker's
@@ -295,6 +361,29 @@ def test_simulate_holds_one_sample_chunk_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * chunk_bytes, rule
+
+
+def test_a_chunk_over_the_budget_is_drawn_in_bounded_memory(monkeypatch):
+    # a whole chunk would take 65.5 MB; readers that replay a chunk after a
+    # rejection hold its full draw until the chunk ends
+    dist, T = GaussianSpectrum(eigenvalues=np.linspace(2.0, 0.2, 10)), 400
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 16 * 2**20)
+    heights = []
+    sample_block = GaussianSpectrum.sample_block
+
+    def recording(self, rng, m, **kwargs):
+        heights.append(m)
+        return sample_block(self, rng, m, **kwargs)
+
+    monkeypatch.setattr(GaussianSpectrum, "sample_block", recording)
+    tracemalloc.start()
+    try:
+        simulate(dist, "oja", 1.0, 0, 2 * CHUNK, T, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    replayed = heights.count(CHUNK) * CHUNK * dist.d * 8
+    assert peak < 1.5 * harness.CHUNK_BYTES + replayed
 
 
 @pytest.mark.parametrize("trials", [50, 400])

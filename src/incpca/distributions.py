@@ -96,11 +96,9 @@ class CoordinateDistribution:
         v[0] = 1.0
         return GroundTruth(v_star=v, lambda1=self.p, lambda2=self.lambda2)
 
-    def sample_block(self, rng: np.random.Generator, m: int, out=None) -> np.ndarray:
-        """(m, d) block of i.i.d. draws, written into `out` when given."""
-        if out is not None and (out.shape != (m, self.d) or out.dtype != np.float64):
-            raise ValueError("out must have shape (m, d) and dtype float64")
-        return self._scatter(*self.draw_support(rng, m), out)
+    def sample_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """(m, d) block of i.i.d. draws."""
+        return self._scatter(*self.draw_support(rng, m))
 
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
         """Blocks of at most `size` rows that concatenate to sample_block(rng, n).
@@ -115,13 +113,10 @@ class CoordinateDistribution:
         for a in range(0, n, size):
             yield self._scatter(coords[a : a + size], signs[a : a + size])
 
-    def _scatter(self, coords, signs, out=None) -> np.ndarray:
-        """The dense (m, d) rows of a support draw, written into `out` when given."""
+    def _scatter(self, coords, signs) -> np.ndarray:
+        """The dense (m, d) rows of a support draw."""
         m = coords.size
-        if out is None:
-            out = np.zeros((m, self.d))
-        else:
-            out[...] = 0.0
+        out = np.zeros((m, self.d))
         out[np.arange(m), coords] = np.where(coords == 0, 1.0, self.sigma) * signs
         return out
 
@@ -210,19 +205,10 @@ class GaussianSpectrum:
             lambda2=float(self.eigenvalues[1]),
         )
 
-    def sample_block(self, rng, m, return_rejections: bool = False, out=None):
-        """(m, d) block of i.i.d. draws, written into `out` when given.
-
-        `out` may be any float64 array of shape (m, d), strided too; the
-        draws and their order are the same either way.  Any other dtype is
-        rejected rather than cast into.
-        """
-        if out is not None and (out.shape != (m, self.d) or out.dtype != np.float64):
-            raise ValueError("out must have shape (m, d) and dtype float64")
+    def sample_block(self, rng, m, return_rejections: bool = False):
+        """(m, d) block of i.i.d. draws; with return_rejections, also the rows redrawn."""
         scale = np.sqrt(self.eigenvalues)
-        # standard_normal(out=) needs a contiguous buffer
-        block = out if out is not None and out.flags.forc else np.empty((m, self.d))
-        rng.standard_normal((m, self.d), out=block)
+        block = rng.standard_normal((m, self.d))
         block *= scale
         rejected = 0
         while True:
@@ -233,13 +219,10 @@ class GaussianSpectrum:
             rejected += nbad
             block[bad] = rng.standard_normal((nbad, self.d)) * scale
         if self.rotation is not None:
-            block[...] = block @ self.rotation.T
-        out = block if out is None else out
-        if out is not block:
-            out[...] = block
+            block = block @ self.rotation.T
         if return_rejections:
-            return out, rejected
-        return out
+            return block, rejected
+        return block
 
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
         """Blocks of at most `size` rows that concatenate to sample_block(rng, n).

@@ -18,12 +18,14 @@ trial runs alone or inside a batch.  Every chunk is held step-major, so
 each step reads its samples as one contiguous (trials, d) block, and is
 filled on every CPU the process may use; a trial's stream is read by one
 thread at a time, so its draws are identical whichever thread makes them.
-A run's samples live in one reused buffer, and how a chunk is drawn
-depends on its size alone, never on the source type (`_chunk_blocks`): a
-chunk of at most CHUNK_BYTES is drawn whole, one `sample_block` call per
-trial, and a larger one CHUNK_BYTES // (trials * d * 8) steps at a time,
-each trial from its own `sample_blocks` reader, which draws the same rows.
-So a yielded sample block is valid only until the next one is drawn.
+A run's samples live in one reused buffer, filled by one loop
+(`_chunk_blocks`): each trial's rows are copied into its column from a
+block its source returned.  A chunk of at most CHUNK_BYTES takes that
+block from one `sample_block` call per trial, and a larger one is filled
+CHUNK_BYTES // (trials * d * 8) steps at a time from each trial's own
+`sample_blocks` reader, which draws the same rows; only the chunk's size
+decides, never the source type.  So a yielded sample block is valid only
+until the next one is drawn.
 `step_batches` groups a run's steps for the batched potential and
 pathwise checks.
 """
@@ -167,38 +169,24 @@ def _on_threads(fill, T: int, workers: int) -> None:
             future.result()
 
 
-def _draw_rows(X, dist, rngs, m, workers):
-    """Fill row r of the (T, m, d) array X with m draws from rngs[r].
-
-    X[r] may be strided (a trial's column of a step-major chunk); each is
-    filled by one `sample_block(..., out=X[r])` call, on `workers` threads
-    (`_on_threads`).  A row reads only its own generator, and no generator
-    is used by two threads, so X is bitwise the same for any `workers`.
-    """
-
-    def fill(rows):
-        for row in rows:
-            dist.sample_block(rngs[row], m, out=X[row])
-
-    _on_threads(fill, len(rngs), workers)
-
-
 def _chunk_blocks(dist, rngs, m: int, buf):
     """The samples of an m-step chunk as step-major views of buf, in step order.
 
-    buf is an (S, T, d) array.  A chunk of at most S steps is drawn whole
-    into buf[:m], each trial's column by one `sample_block(..., out=)` call
-    (`_draw_rows`).  A longer one is drawn S steps at a time, each trial's
-    rows read from its own `sample_blocks(rng, m, S)` reader on CPUS
-    threads; a reader draws what one `sample_block(rng, m)` draws, so the
-    choice changes no bit.  A block is overwritten when the next is drawn.
+    buf is an (S, T, d) array, filled S steps at a time on CPUS threads
+    (`_on_threads`): each trial's rows are copied into its column from the
+    next block of its source.  A chunk of at most S steps is one block per
+    trial, from one `sample_block(rng, m)` call made on the thread that
+    copies it; a longer one comes from the trial's `sample_blocks(rng, m, S)`
+    reader, which draws what one `sample_block(rng, m)` draws, so the two
+    give the same bits.  A trial's generator is read by one thread only.
+    A block is overwritten when the next is drawn.
     """
     S = len(buf)
     if m <= S:
-        _draw_rows(buf[:m].transpose(1, 0, 2), dist, rngs, m, CPUS)
-        yield buf[:m]
-        return
-    readers = [dist.sample_blocks(rng, m, S) for rng in rngs]
+        # map is lazy: a trial's one draw runs on the thread that copies it
+        readers = [map(dist.sample_block, [rng], [m]) for rng in rngs]
+    else:
+        readers = [dist.sample_blocks(rng, m, S) for rng in rngs]
     for a in range(0, m, S):
         cols = buf[: m - a].transpose(1, 0, 2)
 
@@ -418,8 +406,11 @@ def estimate_slope(ns, psi, n_min: float, n_max: float) -> SlopeFit:
     """Least-squares slope of ln(psi) against ln(n) over [n_min, n_max].
 
     Nonpositive potential values inside the window are dropped (window
-    shrink, flagged); fewer than 5 usable points is an error.
+    shrink, flagged); fewer than 5 usable points is an error, and so is a
+    window that reaches n <= 0, where ln n is undefined.
     """
+    if not n_min > 0:
+        raise ValueError(f"need n_min > 0 for a log-log fit, got {n_min!r}")
     ns = np.asarray(ns, dtype=float)
     psi = np.asarray(psi, dtype=float)
     sel = (ns >= n_min) & (ns <= n_max)

@@ -1,15 +1,22 @@
 """Monte Carlo and numeric verification of the per-step claims.
 
-Each check compares a simulated quantity against its closed form (two-sided,
-3 standard errors), or against an upper bound (one-sided), or asserts a
-pathwise identity with explicit floating-point slack.  A failed gradient,
-gamma or pathwise check means a bug.  The Monte Carlo checks also fail with
-correct code, on these shares of seeds: xi_expectation takes the largest of
-d two-sided z-scores, so 1-(1-0.0027)^d, about 2.7% at d=10 (9 of seeds
-0-399 at the `incpca verify` sizes); z_expectation 0.27% (2 of 400); the
-one-sided mgf_beta and always_good at most 0.13%, and next to none at the
-`incpca verify` settings, whose bounds lie far above the truth.  No
-threshold corrects for these rates.  The pathwise check replays
+Each check compares a simulated quantity against its closed form (two-sided),
+or against an upper bound (one-sided), or asserts a pathwise identity with
+explicit floating-point slack.  A failed gradient, gamma or pathwise check
+means a bug.  The Monte Carlo checks also fail with correct code, at a
+level fixed in advance: each two-sided check at alpha = 2(1 - Phi(3)),
+about 0.27%, for normal z-scores.  z_expectation compares one z-score
+with 3 (1 of seeds 0-399 at the `incpca verify` sizes).  xi_expectation
+takes the largest of d z-scores and compares it with the Sidak cut
+z* = Phi^-1(1 - (1 - (1 - alpha)^(1/d)) / 2), about 3.64 at d=10, which
+holds its rate at alpha for any d (3 of seeds 0-399, against 16 of 400
+when the cut was 3; on coordinate data the z-scores' tails are a little
+heavier than normal).  The one-sided mgf_beta and always_good fail at
+most 0.13% each, and next to none at the `incpca verify` settings, whose
+bounds lie far above the truth.  So `incpca verify`, which runs these
+four, is set to fail correct code on about 0.54% of seeds
+(1 - (1 - alpha)^2), at most 0.8%; it failed on 4 of seeds 0-399.  The
+pathwise check replays
 `harness.trajectories`, the engine (and so the update kernels) that the
 experiments run, and takes xi and Z from `estimators.xi` /
 `estimators.z_increment`.
@@ -109,9 +116,13 @@ def _sample_moments(blocks, n_samples: int, stat):
 def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     """E[xi | v] against A v - G(v) v, per coordinate.
 
-    empirical is the worst per-coordinate z-score; the check passes when it
-    stays within 3.
+    empirical is the worst per-coordinate |z|; the check passes when it
+    stays within the Sidak cut z* for d z-scores at the two-sided 3-sigma
+    level alpha, so that correct code fails with probability alpha (about
+    0.27%) for any d.  slack holds z*, detail the worst coordinate.
     """
+    from statistics import NormalDist  # at first use: it imports decimal and fractions
+
     v = np.asarray(v, dtype=float)
     A = dist.covariance()
     ref = A @ v - linalg.rayleigh_quotient(A, v) * v
@@ -120,15 +131,20 @@ def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
     z = np.abs(mean - ref) / np.where(se > 0, se, 1.0)
     # coordinates with zero sample variance must match exactly
     exact_bad = np.any((se == 0) & (np.abs(mean - ref) > 1e-12))
-    max_z = float(z.max())
+    worst = int(z.argmax())
+    max_z = float(z[worst])
+    normal = NormalDist()
+    alpha = 2.0 * (1.0 - normal.cdf(3.0))
+    z_star = normal.inv_cdf(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / z.size)) / 2.0)
     return CheckReport(
         name="xi_expectation",
         n_samples=n_samples,
         empirical=max_z,
         reference=0.0,
         std_error=1.0,
-        passed=(max_z <= 3.0) and not exact_bad,
-        slack_used=3.0,
+        passed=(max_z <= z_star) and not exact_bad,
+        slack_used=z_star,
+        detail=f"worst coordinate {worst}: z={max_z!r}",
     )
 
 
@@ -141,8 +157,8 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
     v = np.asarray(v, dtype=float)
     gt = dist.ground_truth()
     A = dist.covariance()
+    G = linalg.rayleigh_quotient(A, v)  # raises for the zero vector, before any draw
     vhat_dot = float(v @ gt.v_star) / math.sqrt(float(v @ v))
-    G = linalg.rayleigh_quotient(A, v)
     ref = 2.0 * gamma * vhat_dot**2 * (gt.lambda1 - G)
     psi = linalg.potential(v, gt.v_star)
     lower = 2.0 * gamma * gt.gap * psi * (1.0 - psi)

@@ -7,26 +7,39 @@ Scaled-down versions of the four workloads run here under the same
 tracer, so such a change fails this test before it reaches the benchmark.
 """
 
+import dataclasses
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from incpca import cli, estimators, harness
+from incpca import cli, estimators, harness, verify
 from incpca.distributions import CoordinateDistribution
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 RUN = ["--c-o", "4", "--horizon", "3000", "--trials", "4"]
 COORDINATE = ["--dist", "coordinate", "--p", "0.2", "--sigma", "0.5", "--d", "10"]
 
 
-def _spans():
-    """perfbench/spans.py, executed from its source so that nothing is written beside it."""
-    module = types.ModuleType("spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+def _load(path, monkeypatch=None):
+    """A perfbench module, executed from its source so that nothing is written beside it.
+
+    With monkeypatch it is also registered in sys.modules for the test,
+    which its dataclasses need.
+    """
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, path.stem, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def _spans():
+    return _load(SPANS)
 
 
 def coord_readme(tmp_path):
@@ -73,9 +86,9 @@ def test_every_mapped_metric_sees_a_call(workload, tmp_path):
 
 
 # spans.py wraps sample_block but not sample_blocks, so a coordinate chunk
-# drawn in sub-blocks is missing from the sampling metrics; the benchmark's
+# filled in sub-blocks is missing from the sampling metrics; the benchmark's
 # coordinate chunks (16 MB on coord_readme, 8 MB on verify_long) fit
-# harness.CHUNK_BYTES and are drawn whole, one sample_block call per trial
+# harness.CHUNK_BYTES, so each trial's rows come from one sample_block call
 SAMPLING = [f"distributions.sample_block.{m}" for m in ("s", "calls", "rows")]
 
 
@@ -88,3 +101,24 @@ def test_the_sub_block_path_under_the_tracer(workload, unrecorded, tmp_path, mon
     with spans.installed(spans.Tracer()) as tracer:
         workload(tmp_path)
     assert tracer.unrecorded(workload.__name__) == unrecorded
+
+
+@pytest.mark.parametrize("failing", [(), ("xi_expectation",)], ids=["all-pass", "xi-fails"])
+def test_the_verify_workload_reads_the_report(failing, tmp_path, monkeypatch):
+    # the rows that `incpca verify` writes, the xi row's detail included;
+    # pass is forced, so the check's own outcome at this size does not matter
+    workloads = _load(PERFBENCH / "workloads.py", monkeypatch)
+    run = workloads.VerifyRun(0, str(tmp_path))
+    rng = np.random.default_rng(0)
+    dist = CoordinateDistribution(p=0.2, sigma=0.5, d=10)
+    reports = [
+        verify.check_xi_expectation(dist, rng.standard_normal(10), 2000, rng),
+        verify.check_z_expectation(dist, rng.standard_normal(10), 0.1, 2000, rng),
+        verify.check_pathwise(dist, "oja", 20, 2, 0, c=5.0),
+    ]
+    assert reports[0].detail
+    reports = [dataclasses.replace(rep, passed=rep.name not in failing) for rep in reports]
+    with open(run.path, "w", newline="") as fh:
+        verify.write_reports(fh, reports)
+    (op,) = run.check(0)
+    assert op.failures == [f"{name} did not pass" for name in failing]

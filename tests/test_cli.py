@@ -291,10 +291,15 @@ def test_slope_reads_back_gaussian_run(tmp_path, capsys):
              "--n-max", "2"],
             "{tmp}/exp.csv: no column 'nope'",
         ),
+        # a run's CSV starts at n=0, where ln n is undefined
+        (
+            ["slope", "--input", "{tmp}/run.csv", "--n-min", "0", "--n-max", "100"],
+            "need n_min > 0 for a log-log fit, got 0.0",
+        ),
     ],
     ids=[
         "slope-input", "config", "out-dir", "config-line", "config-rule", "config-dist",
-        "config-init", "config-type", "slope-column",
+        "config-init", "config-type", "slope-column", "slope-n-min",
     ],
 )
 def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
@@ -305,6 +310,7 @@ def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
     (tmp_path / "init.cfg").write_text(run_cfg + "init = bogus\n")
     (tmp_path / "type.cfg").write_text(run_cfg + "trials = x\n")
     (tmp_path / "exp.csv").write_text("# a comment\nn,mean_psi\n1,0.5\n")
+    (tmp_path / "run.csv").write_text("n,mean_psi\n" + "".join(f"{n},{0.9 ** n}\n" for n in range(8)))
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err == f"incpca: error: {message.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "x.csv").exists()

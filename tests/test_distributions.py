@@ -150,50 +150,6 @@ def _allocating_gaussian_block(dist, rng, m):
     return x @ dist.rotation.T, rejected
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [CoordinateDistribution(p=0.3, sigma=0.5, d=5), CLIPPED],
-    ids=["coordinate", "gaussian"],
-)
-def test_sample_block_into_out_returns_out_with_the_same_bits(dist):
-    ref = dist.sample_block(np.random.default_rng(6), 300)
-    chunk = np.full((300, 3, dist.d), np.nan)  # every entry must be written
-    # a contiguous block, and one trial's strided column of a step-major chunk
-    for buf in (np.full((300, dist.d), np.nan), chunk[:, 1]):
-        assert dist.sample_block(np.random.default_rng(6), 300, out=buf) is buf
-        assert np.array_equal(buf, ref)
-    assert np.isnan(chunk[:, [0, 2]]).all()  # the other columns are untouched
-
-
-@pytest.mark.parametrize(
-    "dist",
-    [CoordinateDistribution(p=0.2, sigma=0.5, d=4), CLIPPED],
-    ids=["coordinate", "gaussian"],
-)
-@pytest.mark.parametrize("rows, extra_columns", [(5, 0), (3, 2)], ids=["rows", "columns"])
-def test_sample_block_rejects_an_out_of_another_shape(dist, rows, extra_columns):
-    out = np.ones((rows, dist.d + extra_columns))
-    with pytest.raises(ValueError, match=r"out must have shape \(m, d\)"):
-        dist.sample_block(np.random.default_rng(0), 3, out=out)
-    assert (out == 1.0).all()  # nothing was written
-
-
-@pytest.mark.parametrize(
-    "dist",
-    [CoordinateDistribution(p=0.2, sigma=0.5, d=4), CLIPPED],
-    ids=["coordinate", "gaussian"],
-)
-@pytest.mark.parametrize("dtype", [np.int64, np.float32])
-@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
-def test_sample_block_rejects_an_out_of_another_dtype(dist, dtype, strided):
-    # writing draws into such a buffer would cast them (0/+-1 rows for int64)
-    buf = np.ones((3, 2, dist.d), dtype=dtype)
-    out = buf[:, 1] if strided else buf[:, 1].copy()
-    with pytest.raises(ValueError, match="out must have shape \\(m, d\\) and dtype float64"):
-        dist.sample_block(np.random.default_rng(0), 3, out=out)
-    assert (out == 1).all()  # nothing was written
-
-
 def _mask_draw_support(dist, rng, m):
     """Reference: the tail's coordinates picked by boolean-mask indexing."""
     u = rng.random(m)
@@ -221,19 +177,11 @@ def test_draw_support_matches_the_boolean_mask_form(d, p, m):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_gaussian_sample_block_into_out_keeps_draws_and_rejection_count():
+def test_gaussian_sample_block_keeps_draws_and_rejection_count():
     ref, ref_rejected = _allocating_gaussian_block(CLIPPED, np.random.default_rng(7), 400)
     assert ref_rejected > 0
     x, rejected = CLIPPED.sample_block(np.random.default_rng(7), 400, return_rejections=True)
     assert rejected == ref_rejected and np.array_equal(x, ref)
-    # a contiguous block, and one trial's strided column of a step-major chunk
-    for buf in (np.empty((400, 3)), np.empty((400, 5, 3))[:, 2]):
-        y, out_rejected = CLIPPED.sample_block(
-            np.random.default_rng(7), 400, return_rejections=True, out=buf
-        )
-        assert y is buf
-        assert out_rejected == ref_rejected
-        assert np.array_equal(y, ref)
 
 
 # CLIPPED's rotation at the default clip radius, where 1000 draws reject

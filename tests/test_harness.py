@@ -135,35 +135,53 @@ def test_simulate_matches_single_state_reference(dist, rule):
             assert res.psi[tid, -1] == ref
 
 
+# clip radius below the trace, so the rejection loop runs on most rows
+CLIPPED = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
+
+
+def _chunk(dist, trial_ids, m, steps):
+    """The (trials, m, d) rows that _chunk_blocks yields for an m-step chunk, trial-major.
+
+    The buffer holds `steps` steps: the whole chunk when steps >= m, and
+    sub-blocks otherwise.  Every yielded block is a view of it.
+    """
+    buf = np.full((steps, len(trial_ids), dist.d), np.nan)
+    blocks = []
+    for X in harness._chunk_blocks(dist, [trial_rng(3, t) for t in trial_ids], m, buf):
+        assert np.shares_memory(X, buf) and X.flags.c_contiguous
+        blocks.append(X.copy())
+    if steps > m:
+        assert np.isnan(buf[m:]).all()  # the steps past the chunk are not written
+    return np.concatenate(blocks).transpose(1, 0, 2)
+
+
 @pytest.mark.parametrize("T", [1, 7])
-def test_chunk_rows_do_not_depend_on_the_split(T):
-    # clip radius below the trace, so the rejection loop runs on most rows
-    gauss = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
-    assert gauss.sample_block(trial_rng(3, 0), 50, return_rejections=True)[1] > 0
+def test_chunk_rows_do_not_depend_on_the_split(monkeypatch, T):
+    assert CLIPPED.sample_block(trial_rng(3, 0), 50, return_rejections=True)[1] > 0
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for dist in (gauss, DIST):
+        for dist in (CLIPPED, DIST):
             ref = np.stack([dist.sample_block(trial_rng(3, t), 50) for t in range(T)])
             for workers in (1, 2, 3):  # T=7 over 2 or 3 parts is uneven
-                X = np.full((T, 50, dist.d), np.nan)
-                harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], 50, workers)
-                assert np.array_equal(X, ref), (dist, workers)
+                monkeypatch.setattr(harness, "CPUS", workers)
+                for steps in (50, 64, 7, 1):  # whole chunks, sub-blocks
+                    got = _chunk(dist, range(T), 50, steps)
+                    assert np.array_equal(got, ref), (dist, workers, steps)
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_step_major_chunk_holds_the_same_bits_as_a_trial_major_one(workers):
-    # _draw_rows fills the strided (T, m, d) view of a step-major chunk;
-    # clip radius below the trace, so the rejection loop runs
-    dist = GaussianSpectrum(ROTATED.eigenvalues, rotation=ROTATED.rotation, clip_radius=1.0)
+def test_a_step_major_chunk_holds_the_same_bits_as_a_trial_major_one(monkeypatch, workers):
+    # each trial's rows are copied into its strided column of a 7-trial
+    # buffer; alone, a trial's column is contiguous
+    monkeypatch.setattr(harness, "CPUS", workers)
     T, m = 7, 50
-    ref = np.empty((T, m, dist.d))
-    harness._draw_rows(ref, dist, [trial_rng(3, t) for t in range(T)], m, 1)
-    X = np.full((m, T, dist.d), np.nan).transpose(1, 0, 2)
-    harness._draw_rows(X, dist, [trial_rng(3, t) for t in range(T)], m, workers)
-    assert np.array_equal(X, ref)
+    for dist in (CLIPPED, DIST):
+        for steps in (m, 7):  # a whole chunk, 7-step sub-blocks with a 1-step tail
+            alone = np.concatenate([_chunk(dist, [t], m, steps) for t in range(T)])
+            assert np.array_equal(_chunk(dist, range(T), m, steps), alone), (dist, steps)
 
 
 @pytest.mark.parametrize("dist", [GAUSS, DIST], ids=["gaussian", "coordinate"])

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -68,12 +69,47 @@ def test_xi_and_z_checks_run_on_gaussian_data():
 
 
 def test_xi_check_on_gaussian_data_passes_on_9_of_seeds_0_to_9():
-    # with correct code the largest of d=5 z-scores exceeds 3 on about 1.3% of seeds
+    # with correct code the largest of d=5 |z| exceeds the cut z* (3.46) on
+    # about 0.27% of seeds
     passed = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         passed += check_xi_expectation(ROTATED, rng.standard_normal(5), 250_000, rng).passed
     assert passed >= 9
+
+
+def _sidak_cut(d):
+    """z* with P(max of d independent |N(0, 1)| > z*) = 2 (1 - Phi(3))."""
+    normal = NormalDist()
+    alpha = 2.0 * (1.0 - normal.cdf(3.0))
+    return normal.inv_cdf(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / d)) / 2.0)
+
+
+def test_the_xi_cut_holds_the_level_of_one_3_sigma_z_score():
+    normal = NormalDist()
+    alpha = 2.0 * (1.0 - normal.cdf(3.0))
+    rng = np.random.default_rng(0)
+    for dist in (CoordinateDistribution(p=0.5, sigma=0.5, d=2), DIST, CLI_DIST):
+        rep = check_xi_expectation(dist, rng.standard_normal(dist.d), 1000, rng)
+        z_star = rep.slack_used
+        # each of d independent |z| stays within z* with probability (1 - alpha)^(1/d)
+        assert (2.0 * normal.cdf(z_star) - 1.0) ** dist.d == pytest.approx(1.0 - alpha, rel=1e-12)
+        assert rep.passed == (rep.empirical <= z_star)
+        assert "," not in rep.detail and rep.detail.endswith(f"z={rep.empirical!r}")
+    assert _sidak_cut(1) == pytest.approx(3.0, rel=1e-12)
+    assert _sidak_cut(10) == pytest.approx(3.6422, abs=1e-4)
+
+
+@pytest.mark.parametrize("check", ["xi", "z"])
+def test_moment_checks_reject_a_zero_v_before_drawing(check):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^Rayleigh quotient undefined for the zero vector$"):
+        if check == "xi":
+            check_xi_expectation(DIST, np.zeros(5), 1000, rng)
+        else:
+            check_z_expectation(DIST, np.zeros(5), 0.1, 1000, rng)
+    assert rng.bit_generator.state == state
 
 
 def _one_shot_reports(dist, n, seed):
@@ -93,7 +129,12 @@ def _one_shot_reports(dist, n, seed):
     z = np.abs(mean - ref) / np.where(se > 0, se, 1.0)
     exact_bad = np.any((se == 0) & (np.abs(mean - ref) > 1e-12))
     max_z = float(z.max())
-    xi_rep = CheckReport("xi_expectation", n, max_z, 0.0, 1.0, max_z <= 3.0 and not exact_bad, 3.0)
+    z_star = _sidak_cut(dist.d)
+    detail = f"worst coordinate {int(z.argmax())}: z={max_z!r}"
+    xi_rep = CheckReport(
+        "xi_expectation", n, max_z, 0.0, 1.0, max_z <= z_star and not exact_bad, z_star,
+        detail=detail,
+    )
 
     w = rng.standard_normal(dist.d)
     gt = dist.ground_truth()

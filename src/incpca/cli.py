@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -250,27 +251,72 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _run_chains(chains) -> list:
+    """Run each chain's checks in order, the chains side by side on CPUS threads.
+
+    `harness._on_threads` gives the calling thread the first chain and a
+    worker the next, or, on one CPU, runs the chains one after another.
+    Returns the reports in chain order.  When a check raises, or Ctrl-C
+    arrives, every other chain stops before its next check, and the
+    exception is raised once every chain has stopped.
+    """
+    reports = [[] for _ in chains]
+    stop = threading.Event()
+    done = [threading.Event() for _ in chains]
+
+    def run(rows):
+        try:
+            for row in rows:
+                for check in chains[row]:
+                    if stop.is_set():
+                        return
+                    reports[row].append(check())
+                done[row].set()
+            if 0 in rows:
+                # the calling thread waits here, where a Ctrl-C still sets stop
+                for event in done:
+                    event.wait()
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            for row in rows:
+                done[row].set()
+
+    harness._on_threads(run, len(chains), harness.CPUS)
+    return [rep for chain in reports for rep in chain]
+
+
 def _cmd_verify(args) -> int:
+    if args.samples < 2:
+        raise ValueError("need at least 2 samples")
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
+    if args.steps < 1:
+        raise ValueError("need at least one step")
     rng = np.random.default_rng(args.seed)
     dist = CoordinateDistribution(p=0.2, sigma=0.5, d=10)
     A = dist.covariance()
-    reports = [
-        verify.check_gradient(A, n_points=100, h=1e-5, rng=rng),
-        verify.check_gamma_inequality(np.geomspace(1e-3, 1e6, 500)),
-        verify.check_mgf(d=10, t=5.0, n_samples=args.samples, rng=rng),
-        verify.check_xi_expectation(
+    # the checks that read rng, in order, and those seeded by --seed alone
+    rng_chain = [
+        lambda: verify.check_gradient(A, n_points=100, h=1e-5, rng=rng),
+        lambda: verify.check_gamma_inequality(np.geomspace(1e-3, 1e6, 500)),
+        lambda: verify.check_mgf(d=10, t=5.0, n_samples=args.samples, rng=rng),
+        lambda: verify.check_xi_expectation(
             dist, rng.standard_normal(10), n_samples=args.samples, rng=rng
         ),
-        verify.check_z_expectation(
+        lambda: verify.check_z_expectation(
             dist, rng.standard_normal(10), gamma=0.1, n_samples=args.samples, rng=rng
         ),
-        verify.check_pathwise(
+    ]
+    seeded_chain = [
+        lambda: verify.check_pathwise(
             dist, KRASULINA, steps=args.steps, trials=args.trials, master_seed=args.seed
         ),
-        verify.check_pathwise(
+        lambda: verify.check_pathwise(
             dist, OJA, steps=args.steps, trials=args.trials, master_seed=args.seed, c=5.0
         ),
-        verify.check_always_good(
+        lambda: verify.check_always_good(
             CoordinateDistribution(p=0.2, sigma=0.5, d=3),
             c=1.0,
             eps=0.05,
@@ -279,6 +325,7 @@ def _cmd_verify(args) -> int:
             master_seed=args.seed,
         ),
     ]
+    reports = _run_chains([rng_chain, seeded_chain])
     if args.out:
         with open(args.out, "w", newline="") as fh:
             verify.write_reports(fh, reports)

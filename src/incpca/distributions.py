@@ -280,7 +280,8 @@ def random_unit_vectors(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
             break
         z[bad] = rng.standard_normal((int(bad.sum()), d))
         norms[bad] = np.linalg.norm(z[bad], axis=1)
-    return z / norms[:, None]
+    z /= norms[:, None]
+    return z
 
 
 def random_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,29 +6,32 @@ explicit floating-point slack.  A failed gradient, gamma or pathwise check
 means a bug.  The Monte Carlo checks also fail with correct code, at a
 level fixed in advance: each two-sided check at alpha = 2(1 - Phi(3)),
 about 0.27%, for normal z-scores.  z_expectation compares one z-score
-with 3 (1 of seeds 0-399 at the `incpca verify` sizes).  xi_expectation
+with 3 (2 of seeds 0-999 at the `incpca verify` sizes).  xi_expectation
 takes the largest of d z-scores and compares it with the Sidak cut
 z* = Phi^-1(1 - (1 - (1 - alpha)^(1/d)) / 2), about 3.64 at d=10, which
-holds its rate at alpha for any d (3 of seeds 0-399, against 16 of 400
-when the cut was 3; on coordinate data the z-scores' tails are a little
-heavier than normal).  The one-sided mgf_beta and always_good fail at
-most 0.13% each, and next to none at the `incpca verify` settings, whose
-bounds lie far above the truth.  So `incpca verify`, which runs these
-four, is set to fail correct code on about 0.54% of seeds
-(1 - (1 - alpha)^2), at most 0.8%; it failed on 4 of seeds 0-399.  The
-pathwise check replays
+would hold its rate at alpha for normal z-scores.  On the coordinate data
+of `incpca verify` their tails are a little heavier than normal: there
+the xi row failed correct code on 7 of seeds 0-999 (0.7%), against 16 of
+seeds 0-399 when the cut was 3.  The one-sided mgf_beta and always_good
+fail at most 0.13% each, and next to none at the `incpca verify`
+settings, whose bounds lie far above the truth.  So `incpca verify`,
+which runs these four, would fail correct code on about 0.54% of seeds
+(1 - (1 - alpha)^2) for normal z-scores.  Measured over seeds 0-999 at
+its defaults, its mgf, xi and z rows failed correct code on 9 seeds
+(0.9%): xi on 7, z on 2, mgf_beta on none.  The pathwise check replays
 `harness.trajectories`, the engine (and so the update kernels) that the
 experiments run, and takes xi and Z from `estimators.xi` /
 `estimators.z_increment`.
 
 The Monte Carlo checks hold one block of at most _BLOCK samples at a time,
-not the sample matrix, and the xi and z checks see the draws of one
-`sample_block` call: on coordinate data they also hold the compact support
-of the draw (an index and a sign per sample), and on Gaussian data the
-whole draw once a block rejects a row (`GaussianSpectrum.sample_blocks`
-replays it from the start).  All three merge their block moments in
-`_sample_moments`, so above _BLOCK samples their values differ from a
-one-shot mean and standard deviation (n - 1 form) in the last bits only.
+not the sample matrix, and one block of their statistic: the xi and z
+checks see the draws of one `sample_block` call, and on coordinate data
+they also hold the compact support of the draw (an index and a sign per
+sample), and on Gaussian data the whole draw once a block rejects a row
+(`GaussianSpectrum.sample_blocks` replays it from the start).  All three
+merge their block moments in `_sample_moments`, so above _BLOCK samples
+their values differ from a one-shot mean and standard deviation (n - 1
+form) in the last bits only.
 """
 
 from __future__ import annotations
@@ -85,23 +88,31 @@ def write_reports(fh, reports) -> None:
 def _sample_moments(blocks, n_samples: int, stat):
     """Mean and standard error of stat(X), per column, over the n_samples rows of `blocks`.
 
-    `blocks` yields the samples in blocks of rows.  Each block's mean and
-    sum of squared deviations is merged by the pairwise update of Chan,
-    Golub & LeVeque (1979).  The first block is taken as it is, so a single
-    block gives the bits of stat(X).mean(axis=0) and
-    stat(X).std(axis=0, ddof=1) / sqrt(n).
+    `blocks` yields the samples in blocks of rows.  stat is evaluated
+    harness.ROWS rows at a time into one array per block; each of its rows
+    depends on its sample's row alone, so the bits are those of one call.
+    Each block's mean and sum of squared deviations is merged by the
+    pairwise update of Chan, Golub & LeVeque (1979).  The first block is
+    taken as it is, so a single block gives the bits of
+    stat(X).mean(axis=0) and stat(X).std(axis=0, ddof=1) / sqrt(n).
     """
     # a standard error needs two samples; with fewer a check tests nothing
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     seen = 0
     for X in blocks:
-        ys = stat(X)
-        m = ys.shape[0]
+        m = X.shape[0]
+        first = stat(X[: harness.ROWS])
+        ys = np.empty((m, *first.shape[1:]))
+        ys[: harness.ROWS] = first
+        for a in range(harness.ROWS, m, harness.ROWS):
+            ys[a : a + harness.ROWS] = stat(X[a : a + harness.ROWS])
+        del X, first  # the next block is drawn without this one
         block_mean = ys.mean(axis=0)
-        dev = ys - block_mean
-        dev *= dev
-        block_m2 = dev.sum(axis=0)
+        ys -= block_mean
+        ys *= ys
+        block_m2 = ys.sum(axis=0)
+        del ys
         if seen == 0:
             mean, m2 = block_mean, block_m2
         else:
@@ -118,8 +129,9 @@ def check_xi_expectation(dist, v, n_samples: int, rng) -> CheckReport:
 
     empirical is the worst per-coordinate |z|; the check passes when it
     stays within the Sidak cut z* for d z-scores at the two-sided 3-sigma
-    level alpha, so that correct code fails with probability alpha (about
-    0.27%) for any d.  slack holds z*, detail the worst coordinate.
+    level alpha, so that correct code whose z-scores are normal fails with
+    probability alpha (about 0.27%) for any d; the module docstring gives
+    the measured rate.  slack holds z*, detail the worst coordinate.
     """
     from statistics import NormalDist  # at first use: it imports decimal and fractions
 

@@ -2,13 +2,18 @@
 
 import re
 import shlex
+import signal
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from incpca import cli
+from incpca import cli, harness, verify
 from incpca.cli import build_parser, main
+from incpca.verify import CheckReport
 
 
 def test_run_writes_experiment_csv(tmp_path, capsys):
@@ -168,6 +173,120 @@ def test_verify_quick_suite(tmp_path):
     assert lines[0] == "name,n_samples,empirical,reference,std_error,pass,slack,vacuous,detail"
     assert len(lines) == 9  # eight checks
     assert all(",true," in ln for ln in lines[1:])
+
+
+# `incpca verify`'s two chains: the checks that read its generator, in
+# order, then those seeded by --seed alone
+RNG_CHAIN = ["check_gradient", "check_gamma_inequality", "check_mgf",
+             "check_xi_expectation", "check_z_expectation"]
+SEEDED_CHAIN = ["check_pathwise", "check_pathwise", "check_always_good"]
+
+
+def _fake_checks(monkeypatch, calls, act=None):
+    """Replace every check `verify` runs by one that records its name, then runs act(name)."""
+    for name in set(RNG_CHAIN + SEEDED_CHAIN):
+        def check(*args, name=name, **kwargs):
+            calls.append(name)
+            if act is not None:
+                act(name)
+            return CheckReport(name, 1, 0.0, 0.0, 0.0, True, 0.0)
+
+        monkeypatch.setattr(verify, name, check)
+
+
+def test_verify_report_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    argv = ["verify", "--samples", "3000", "--trials", "4", "--steps", "300", "--seed", "5"]
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "CPUS", cpus)
+            out = tmp_path / f"reports{cpus}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "1"], "need at least 2 samples"),
+        (["--trials", "0"], "need at least one trial"),
+        (["--steps", "0"], "need at least one step"),
+    ],
+    ids=["samples", "trials", "steps"],
+)
+def test_verify_rejects_a_bad_size_before_any_check(monkeypatch, capsys, argv, message):
+    calls = []
+    _fake_checks(monkeypatch, calls)
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr().err == f"incpca: error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing", ["rng", "seeded"])
+def test_a_check_that_raises_stops_the_other_chain(monkeypatch, capsys, failing, error):
+    # the first check of one chain raises while the first of the other
+    # runs; that one returns, and its chain must run no further check
+    monkeypatch.setattr(harness, "CPUS", 2)
+    first, other = ("check_gradient", "check_pathwise")
+    if failing == "seeded":
+        first, other = other, first
+    started, raised = threading.Event(), threading.Event()
+
+    def act(name):
+        if name == first:
+            assert started.wait(10)
+            raised.set()
+            raise error("check failed")
+        if name == other:
+            started.set()
+            assert raised.wait(10)
+            time.sleep(0.1)  # lets the failing chain stop what is left
+
+    calls = []
+    _fake_checks(monkeypatch, calls, act)
+    threads = threading.active_count()
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify"])
+    else:
+        assert main(["verify"]) == 2
+        assert capsys.readouterr().err == "incpca: error: check failed\n"
+    assert sorted(calls) == sorted([first, other])
+    assert threading.active_count() == threads
+
+
+def test_ctrl_c_while_waiting_stops_the_other_chain(monkeypatch):
+    # the generator's chain has ended and the calling thread waits for the
+    # seeded one, which is still in its first check when Ctrl-C arrives
+    monkeypatch.setattr(harness, "CPUS", 2)
+    rng_chain_done = threading.Event()
+
+    def act(name):
+        if name == RNG_CHAIN[-1]:
+            rng_chain_done.set()
+        elif name == "check_pathwise" and calls.count(name) == 1:
+            assert rng_chain_done.wait(10)
+            time.sleep(0.1)  # the calling thread is now waiting
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.1)
+
+    calls = []
+    _fake_checks(monkeypatch, calls, act)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify"])
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert sorted(calls) == sorted([*RNG_CHAIN, "check_pathwise"])
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,40 @@ def test_moment_checks_hold_one_block_at_a_time(check):
     assert peak < 100e6
 
 
+@pytest.mark.parametrize(
+    "check, n, mb",
+    [
+        # one (1e5, 10) block of samples and one of xi, 8 MB each
+        ("xi", 100_000, 20.5),
+        # the same block and a (1e5,) column of Z
+        ("z", 100_000, 12.5),
+        # at 1e6 samples the coordinate support of the whole draw (16 MB) is held too
+        ("xi", 1_000_000, 45.0),
+        ("z", 1_000_000, 45.0),
+        # a (1e5, 10) block of unit vectors and the squares that its norms sum
+        ("mgf", 100_000, 19.5),
+        ("mgf", 1_000_000, 19.5),
+    ],
+)
+def test_moment_checks_hold_one_stat_block_beside_one_sample_block(check, n, mb):
+    # the statistic is evaluated harness.ROWS rows at a time into one
+    # array per block, squared in place, and dropped with its block
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(10)
+    tracemalloc.start()
+    try:
+        if check == "xi":
+            check_xi_expectation(CLI_DIST, v, n, rng)
+        elif check == "z":
+            check_z_expectation(CLI_DIST, v, 0.1, n, rng)
+        else:
+            check_mgf(10, 5.0, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mb * 1e6
+
+
 def test_pathwise_zero_violations_both_rules():
     for rule in ("krasulina", "oja"):
         rep = check_pathwise(DIST, rule, steps=3000, trials=4, master_seed=2)

@@ -129,8 +129,13 @@ def z_increment(v, x, gamma, v_star):
     nsq = _einsum("...i,...i->...", v, v)
     if np.any(nsq == 0.0):
         raise ValueError("xi undefined for the zero vector")
+    return _z(v, _increment(v, np.asarray(x, dtype=float), nsq), nsq, gamma, v_star)
+
+
+def _z(v, inc, nsq, gamma, v_star):
+    """Z of rows v whose xi rows `inc` and squared norms nsq are already known."""
     v_dot = _einsum("...i,i->...", v, v_star)
-    xi_dot = _einsum("...i,i->...", _increment(v, np.asarray(x, dtype=float), nsq), v_star)
+    xi_dot = _einsum("...i,i->...", inc, v_star)
     return 2.0 * gamma * v_dot * xi_dot / nsq
 
 

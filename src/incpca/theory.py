@@ -201,19 +201,30 @@ def solve_recurrence(u_t0: float, t0: int, a: float, b: float, t) -> float:
     a > 1: ((t0+1)/(t+1))^a u_t0 + (b/(a-1)) (1 + 1/(t0+1))^{a+1} / (t+1).
     a < 1: ((t0+1)/(t+1))^a u_t0 + 4 b zeta(2-a) / (t+1)^a.
     a = 1 has no bound of this form and is rejected.
+
+    A Python number t is taken as a Python float, so a scalar call pays
+    for no 0-d array arithmetic; any other t goes through np.asarray.  The
+    powers of t are np.power either way, so a scalar call has the bits of
+    the same t in an array: numpy's array power need not round like the C
+    library's pow behind `**` on floats.
     """
     if a <= 0 or b < 0 or u_t0 < 0:
         raise ValueError("need a > 0, b >= 0, u_t0 >= 0")
     if a == 1.0:
         raise ValueError("a = 1 is not covered")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= t0):
+    if isinstance(t, (int, float)):
+        t = float(t)
+        early = t <= t0
+    else:
+        t = np.asarray(t, dtype=float)
+        early = np.any(t <= t0)
+    if early:
         raise ValueError("need t > t0")
-    head = ((t0 + 1.0) / (t + 1.0)) ** a * u_t0
+    head = np.power((t0 + 1.0) / (t + 1.0), a) * u_t0
     if a > 1.0:
         tail = b / (a - 1.0) * (1.0 + 1.0 / (t0 + 1.0)) ** (a + 1.0) / (t + 1.0)
     else:
-        tail = 4.0 * b * _zeta(2.0 - a) / (t + 1.0) ** a
+        tail = 4.0 * b * _zeta(2.0 - a) / np.power(t + 1.0, a)
     out = head + tail
     return float(out) if out.ndim == 0 else out
 

@@ -20,8 +20,9 @@ which runs these four, would fail correct code on about 0.54% of seeds
 its defaults, its mgf, xi and z rows failed correct code on 9 seeds
 (0.9%): xi on 7, z on 2, mgf_beta on none.  The pathwise check replays
 `harness.trajectories`, the engine (and so the update kernels) that the
-experiments run, and takes xi and Z from `estimators.xi` /
-`estimators.z_increment`.
+experiments run.  It forms each row's |V|^2 and xi once, by the arithmetic
+of `estimators.xi`, and Z from them by the expression that
+`estimators.z_increment` runs, so both keep those functions' bits.
 
 The Monte Carlo checks hold one block of at most _BLOCK samples at a time,
 not the sample matrix, and one block of their statistic: the xi and z
@@ -197,6 +198,11 @@ def check_z_expectation(dist, v, gamma: float, n_samples: int, rng) -> CheckRepo
 def _span_residual(V, x, V_new, nsq, norm_new):
     """Norm of V_new's residual outside span(V, x), per row, and its tolerance.
 
+    Reads the batch's |V|^2 (nsq) and |V_new| (norm_new); every other row
+    norm is the square root of one `linalg._einsum` row sum.  b1.x is
+    formed from b1 = V/|V|, not as V.x/|V|: x - (b1.x) b1 cancels up to
+    |x|/|x_perp| digits, so a last-bit change in b1.x would move the
+    residual and the tolerance by about eps |x|/|x_perp|.
     The basis and the residual are built in place: at a few trials a
     batch's (rows, d) arrays are a large share of the sample chunk that is
     held beside them.
@@ -204,7 +210,7 @@ def _span_residual(V, x, V_new, nsq, norm_new):
     b1 = V / np.sqrt(nsq)[:, None]
     b2 = linalg._einsum("ij,ij->i", b1, x)[:, None] * b1
     np.subtract(x, b2, out=b2)  # x_perp, normalized in place below
-    xp_norm = np.linalg.norm(b2, axis=1)
+    xp_norm = np.sqrt(linalg._einsum("ij,ij->i", b2, b2))
     safe = np.where(xp_norm > 1e-300, xp_norm, 1.0)
     b2 /= safe[:, None]
     b1 *= linalg._einsum("ij,ij->i", b1, V_new)[:, None]
@@ -215,9 +221,9 @@ def _span_residual(V, x, V_new, nsq, norm_new):
     # when x is nearly parallel to V the b2 basis vector loses
     # about eps * |x| / |x_perp| digits, so the tolerance has to
     # carry that conditioning factor
-    cond = np.linalg.norm(x, axis=1) / safe
+    cond = np.sqrt(linalg._einsum("ij,ij->i", x, x)) / safe
     span_tol = (1e-10 + 100.0 * np.finfo(float).eps * cond) * norm_new
-    return np.linalg.norm(resid, axis=1), span_tol
+    return np.sqrt(linalg._einsum("ij,ij->i", resid, resid)), span_tol
 
 
 def _pathwise_violations(rule, v_star, B, trials, batch, last):
@@ -252,13 +258,15 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
         if bad.size:
             first.append((bad[0], kind, quantities))
 
+    # |V|^2 and xi are formed once per row, with the bits of estimators.xi,
+    # and Z from them by the expression that estimators.z_increment runs
     nsq = linalg._einsum("ij,ij->i", V, V)
     dot = linalg._einsum("ij,ij->i", V, x)
-    xi = estimators.xi(V, x)
+    xi = estimators._increment(V, x, nsq)
     xi_nsq = linalg._einsum("ij,ij->i", xi, xi)
     xi_dot_v = linalg._einsum("ij,ij->i", xi, V)
+    Z = estimators._z(V, xi, nsq, gamma, v_star)
     del xi
-    Z = estimators.z_increment(V, x, gamma, v_star)
 
     # xi.V cancels two terms of magnitude (V.x)^2, so that is the
     # right scale for the rounding residual when xi itself is tiny
@@ -339,6 +347,13 @@ def check_pathwise(
     bound, |Z| <= 4 gamma B, Krasulina norm monotonicity / Oja unit norm,
     the orthogonal-input no-op, and span containment.  empirical is the
     violation count; the first offending step is serialized in detail.
+
+    The steps are scored in batches of about harness.ROWS (step, trial)
+    rows.  A batch computes each row's |V|^2, xi, Z and |V_new| once, and
+    every invariant that needs one of them reads that value: xi has the
+    bits of `estimators.xi` and Z those of `estimators.z_increment`, and
+    the span test reuses |V|^2 and |V_new|.  beta_n comes from
+    `theory.beta_step` and the potentials from `linalg.potential`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -53,6 +53,23 @@ class TestSolveRecurrence:
                 assert u <= solve_recurrence(u0, t0, a, b, t + 1) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("a_range", [(1.01, 5.0), (0.05, 0.99)], ids=["a>1", "a<1"])
+def test_scalar_t_gives_the_bits_of_the_array_path(a_range):
+    # a Python number t skips np.asarray; its powers must still round as
+    # numpy's array power does, or a bound would depend on how t is passed
+    rng = np.random.default_rng(int(a_range[1] * 100))
+    for _ in range(50):
+        a = float(rng.uniform(*a_range))
+        u0, b = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 3.0))
+        t0 = int(rng.integers(1, 50))
+        ts = t0 + rng.uniform(0.5, 1e6, 100)
+        for t_array in (ts, np.ceil(ts).astype(int)):
+            want = solve_recurrence(u0, t0, a, b, t_array)
+            for t, w in zip(t_array.tolist(), want.tolist()):
+                got = solve_recurrence(u0, t0, a, b, t)
+                assert type(got) is float and got == w, (a, t0, t)
+
+
 def test_mgf_bound_frozen_value():
     assert mgf_bound(10, 5.0) == pytest.approx(140.797085251528, rel=1e-12)
     assert mgf_bound(10, 5.0) == pytest.approx(

@@ -344,6 +344,105 @@ def test_z_increment_keeps_the_bits_of_its_xi_form(monkeypatch, rule):
     assert check_pathwise(DIST, rule, steps=400, trials=6, master_seed=5) == report
 
 
+ROTATED = GaussianSpectrum(
+    eigenvalues=np.linspace(2.0, 0.2, 5),
+    rotation=np.linalg.qr(np.random.default_rng(44).standard_normal((5, 5)))[0],
+)
+
+
+@pytest.mark.parametrize("dist", [DIST, ROTATED], ids=["coordinate", "rotated-gaussian"])
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+def test_pathwise_scores_the_bits_of_xi_and_z_increment(monkeypatch, rule, dist):
+    # the check forms |V|^2 and xi once per row and Z from them; on the rows
+    # it scores they must be the bits of estimators.xi / z_increment
+    monkeypatch.setattr(harness, "RENORM_THRESHOLD", 1.0)  # renormalized V_prev rows too
+    true_violations, true_z = verify._pathwise_violations, estimators._z
+    rows, scored, fresh, last_V = [], [], 0, None
+
+    def recorded_violations(rule, v_star, B, trials, batch, last):
+        nonlocal fresh, last_V
+        for _, _, _, V_prev, V_next in batch:
+            fresh += V_prev is not last_V
+            last_V = V_next
+        rows.append(
+            (
+                np.concatenate([b[3] for b in batch]),
+                np.concatenate([b[2] for b in batch]),
+                np.repeat([b[1] for b in batch], trials),
+            )
+        )
+        return true_violations(rule, v_star, B, trials, batch, last)
+
+    def recorded_z(v, inc, nsq, gamma, v_star):
+        Z = true_z(v, inc, nsq, gamma, v_star)
+        scored.append((v, inc, Z))
+        return Z
+
+    monkeypatch.setattr(verify, "_pathwise_violations", recorded_violations)
+    monkeypatch.setattr(estimators, "_z", recorded_z)
+    rep = check_pathwise(dist, rule, CHUNK + 200, 3, master_seed=6)
+    assert rep.passed, rep.detail
+    assert fresh == (2 if rule == "krasulina" else 1)  # the initial states, the renormalized
+    assert len(scored) == len(rows) > 1
+    v_star = dist.ground_truth().v_star
+    for (V, x, gamma), (v, inc, Z) in zip(rows, scored):
+        assert np.array_equal(v, V)
+        assert np.array_equal(inc, xi(V, x))
+        assert np.array_equal(Z, z_increment(V, x, gamma, v_star))
+
+
+def _span_residual_as_written(V, x, V_new, nsq, norm_new):
+    # the reference: the span test written out, with a Gram-Schmidt basis
+    # (b1, b2) of span(V, x) and three np.linalg.norm calls
+    def dots(a, b):
+        return linalg._einsum("ij,ij->i", a, b)[:, None]
+
+    b1 = V / np.sqrt(nsq)[:, None]
+    x_perp = x - dots(b1, x) * b1
+    xp_norm = np.linalg.norm(x_perp, axis=1)
+    safe = np.where(xp_norm > 1e-300, xp_norm, 1.0)
+    b2 = x_perp / safe[:, None]
+    resid = V_new - dots(b1, V_new) * b1 - dots(b2, V_new) * b2
+    cond = np.linalg.norm(x, axis=1) / safe
+    span_tol = (1e-10 + 100.0 * np.finfo(float).eps * cond) * norm_new
+    return np.linalg.norm(resid, axis=1), span_tol
+
+
+@pytest.mark.parametrize("parallel", [1.0, 1e-2, 1e-4, 1e-6, 1e-8, "1-sparse"])
+def test_span_residual_keeps_the_written_out_residual_and_tolerance(parallel):
+    # |x_perp| / |x| = parallel, or x = +-s e_k as coordinate data draws it
+    rng = np.random.default_rng(45)
+    n, d = 2000, 10
+    V = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, (n, 1))
+    nsq = np.einsum("ij,ij->i", V, V)
+    if parallel == "1-sparse":
+        x = np.zeros((n, d))
+        s = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
+        x[np.arange(n), rng.integers(0, d, n)] = s
+    else:
+        u = rng.standard_normal((n, d))
+        u -= (np.einsum("ij,ij->i", u, V) / nsq)[:, None] * V
+        u *= (parallel * np.sqrt(nsq) / np.linalg.norm(u, axis=1))[:, None]
+        x = V * rng.uniform(0.2, 2.0, (n, 1)) + u
+    eps = np.finfo(float).eps
+    # a V_new off the span, where the residual is of the order of |V_new|
+    V_new = rng.standard_normal((n, d))
+    norm_new = np.sqrt(np.einsum("ij,ij->i", V_new, V_new))
+    ref, ref_tol = _span_residual_as_written(V, x, V_new, nsq, norm_new)
+    resid, span_tol = verify._span_residual(V, x, V_new, nsq, norm_new)
+    assert np.all(np.abs(resid - ref) <= 1e-12 * ref)
+    assert np.all(np.abs(span_tol - ref_tol) <= 1e-12 * ref_tol)
+    # a Krasulina step stays in the span: its residual is rounding, which
+    # moves by a few eps |V_new| and stays below the tolerance
+    V_new = krasulina_update(V, x, 0.3)
+    norm_new = np.sqrt(np.einsum("ij,ij->i", V_new, V_new))
+    ref, ref_tol = _span_residual_as_written(V, x, V_new, nsq, norm_new)
+    resid, span_tol = verify._span_residual(V, x, V_new, nsq, norm_new)
+    assert np.all(np.abs(resid - ref) <= 4.0 * eps * norm_new)
+    assert np.all(np.abs(span_tol - ref_tol) <= 1e-12 * ref_tol)
+    assert np.all(resid <= span_tol)
+
+
 def test_expectation_checks_move_only_in_the_last_digits():
     # the samples now go through estimators.xi / estimators.z_increment,
     # whose dot products and operation order differ from the former

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -252,36 +251,20 @@ def _cmd_bound(args) -> int:
 
 
 def _run_chains(chains) -> list:
-    """Run each chain's checks in order, the chains side by side on CPUS threads.
+    """The reports of every chain's checks, in chain order.
 
-    `harness._on_threads` gives the calling thread the first chain and a
-    worker the next, or, on one CPU, runs the chains one after another.
-    Returns the reports in chain order.  When a check raises, or Ctrl-C
-    arrives, every other chain stops before its next check, and the
-    exception is raised once every chain has stopped.
+    Each chain is one row of `harness._on_threads`, which runs the chains
+    side by side and owns how they stop: a chain ends before its next check
+    once `stop` is set.
     """
     reports = [[] for _ in chains]
-    stop = threading.Event()
-    done = [threading.Event() for _ in chains]
 
-    def run(rows):
-        try:
-            for row in rows:
-                for check in chains[row]:
-                    if stop.is_set():
-                        return
-                    reports[row].append(check())
-                done[row].set()
-            if 0 in rows:
-                # the calling thread waits here, where a Ctrl-C still sets stop
-                for event in done:
-                    event.wait()
-        except BaseException:
-            stop.set()
-            raise
-        finally:
-            for row in rows:
-                done[row].set()
+    def run(rows, stop):
+        for row in rows:
+            for check in chains[row]:
+                if stop.is_set():
+                    return
+                reports[row].append(check())
 
     harness._on_threads(run, len(chains), harness.CPUS)
     return [rep for chain in reports for rep in chain]
@@ -348,8 +331,9 @@ def main(argv=None) -> int:
         config = _load_config_file(config_path) if config_path else None
         args = build_parser(config).parse_args(argv)
         return handlers[args.command](args)
-    # bad flags and input (including estimators.InitError), unreadable or unwritable files
-    except (ValueError, OSError) as exc:
+    # bad flags and input (including estimators.InitError), unreadable or
+    # unwritable files, and inputs whose arithmetic overflows or divides by zero
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"incpca: error: {exc}", file=sys.stderr)
         return 2
 

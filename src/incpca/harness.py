@@ -36,6 +36,7 @@ import csv
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -150,23 +151,37 @@ def init_states(dist, rule, init_mode, init_k, master_seed, trial_ids):
 
 
 def _on_threads(fill, T: int, workers: int) -> None:
-    """fill(rows) over range(T), cut into `workers` contiguous parts of rows.
+    """fill(rows, stop) over range(T), cut into `workers` contiguous parts of rows.
 
-    Worker threads take parts 2..k while the calling thread takes part 1.
-    A part's exception is raised after every part has finished.
+    The calling thread runs part 1 while worker threads run parts 2..k, and
+    then waits for them.  `stop` is one threading.Event for every part: it
+    is set when a part raises, and when an exception reaches the calling
+    thread while it waits (Ctrl-C is one), so a `fill` that checks it can
+    end its part early.  The exception is raised once every part has ended.
     """
     workers = min(workers, T)
     cuts = [T * k // workers for k in range(workers + 1)]
     parts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    if workers == 1:
-        fill(parts[0])
-        return
-    # leaving the block waits for every worker, also when a part raised
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(fill, part) for part in parts[1:]]
-        fill(parts[0])
-        for future in futures:
-            future.result()
+    stop = threading.Event()
+
+    def run(rows):
+        try:
+            fill(rows, stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    # the pool starts at most one thread per submitted part, so none for
+    # one part; leaving the block waits for every worker, also after a raise
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            futures = [pool.submit(run, part) for part in parts[1:]]
+            fill(parts[0], stop)
+            for future in futures:
+                future.result()
+        except BaseException:
+            stop.set()
+            raise
 
 
 def _chunk_blocks(dist, rngs, m: int, buf):
@@ -190,7 +205,7 @@ def _chunk_blocks(dist, rngs, m: int, buf):
     for a in range(0, m, S):
         cols = buf[: m - a].transpose(1, 0, 2)
 
-        def fill(rows):
+        def fill(rows, stop):  # every part runs to its end
             for row in rows:
                 cols[row] = next(readers[row])
 
@@ -363,7 +378,6 @@ class Aggregate:
     q10: np.ndarray
     q90: np.ndarray
     trials_ok: int
-    trials_failed: int
 
 
 def run_experiment(config: ExperimentConfig) -> Aggregate:
@@ -391,7 +405,6 @@ def run_experiment(config: ExperimentConfig) -> Aggregate:
         q10=np.quantile(psi, 0.1, axis=0),
         q90=np.quantile(psi, 0.9, axis=0),
         trials_ok=int(ok.sum()),
-        trials_failed=int(res.failed.sum()),
     )
 
 

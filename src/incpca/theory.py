@@ -8,6 +8,7 @@ bound, and the never-trapped deviation bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,9 @@ A_EXPONENT = 5.0 / (2.0 * math.log(2.0))
 _SLACK = 1e-12
 
 
+@functools.cache
 def _zeta(s: float) -> float:
-    """Riemann zeta(s), for the a < 1 recurrence tail.
+    """Riemann zeta(s), for the a < 1 recurrence tail, computed once per s.
 
     scipy.special is imported here, at first use, rather than with this
     module: every other path of the package needs numpy alone, and the

@@ -434,9 +434,8 @@ def check_always_good(
     horizon: int,
     trials: int,
     master_seed: int,
-    rule: str = KRASULINA,
 ) -> CheckReport:
-    """Frequency of sup_n Psi_n >= 1 - eps/d against sqrt(2 e eps).
+    """Frequency of Krasulina's sup_n Psi_n >= 1 - eps/d against sqrt(2 e eps).
 
     The sup is truncated at the horizon, which only weakens the empirical
     event, so the one-sided comparison stays sound.  The report is vacuous,
@@ -464,7 +463,7 @@ def check_always_good(
         )
     res = harness.simulate(
         dist,
-        rule,
+        KRASULINA,
         c,
         n_o=n_o,
         horizon=horizon,

@@ -354,6 +354,29 @@ def test_nonpositive_rate_or_trial_count_is_one_line(tmp_path, capsys, argv, mes
     assert not out.exists()
 
 
+SCHEDULE = ["schedule", "--d", "10"]
+BOUND = ["bound", "--c-o", "4", "--d", "10", "--n-o", "100", "--lambda1", "1",
+         "--lambda2", "0.5", "--n-min", "1", "--n-max", "1000"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SCHEDULE, "--delta", "0.1", "--c-o", "0.001", "--c", "1"],  # exp(5 / c_o)
+        [*SCHEDULE, "--delta", "0.1", "--c-o", "4", "--c", "1e200"],  # c**2
+        [*SCHEDULE, "--delta", "0.1", "--c-o", "4", "--c", "1", "--B", "1e200"],  # B**2
+        [*BOUND, "--delta", "0.1", "--B", "1e200"],  # B**2
+        [*SCHEDULE, "--delta", "1e-200", "--c-o", "4", "--c", "1"],  # delta**2 is 0
+        [*BOUND, "--delta", "1e-200"],
+    ],
+    ids=["schedule-c_o", "schedule-c", "schedule-B", "bound-B", "schedule-delta", "bound-delta"],
+)
+def test_theory_input_that_overflows_is_one_line(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("incpca: error: ") and err.count("\n") == 1
+
+
 def test_slope_reads_back_gaussian_run(tmp_path, capsys):
     out = tmp_path / "gauss.csv"
     eigenvalues = ",".join(repr(1.0 / k) for k in range(1, 13))

@@ -1,7 +1,10 @@
 """Tests for the experiment harness: determinism, aggregation, CSV output."""
 
 import io
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -278,6 +281,64 @@ def test_a_failing_row_fails_the_run_after_every_part_ends(monkeypatch, bad_row)
         simulate(GAUSS, "oja", 1.0, 0, 100, 7, 9)
     # every other part ran to its end; the failing part stopped at its row
     assert sorted(drawn) == [r for r in range(7) if r != bad_row and r != bad_row + 1]
+
+
+def test_one_part_runs_on_the_calling_thread_and_starts_no_thread():
+    threads = threading.active_count()
+    seen = []
+
+    def fill(rows, stop):
+        seen.append((rows, threading.current_thread(), threading.active_count(), stop.is_set()))
+
+    harness._on_threads(fill, 5, 1)
+    assert seen == [(range(5), threading.current_thread(), threads, False)]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["calling", "worker", "last-worker"])
+def test_a_part_that_raises_stops_the_others_and_raises_after_they_end(failing):
+    # three one-row parts; the others wait for stop, then take a while to end
+    threads = threading.active_count()
+    ended = []
+
+    def fill(rows, stop):
+        if rows[0] == failing:
+            raise RuntimeError(f"part {failing} failed")
+        assert stop.wait(10)
+        time.sleep(0.05)
+        ended.append(rows[0])
+
+    with pytest.raises(RuntimeError, match=f"part {failing} failed"):
+        harness._on_threads(fill, 3, 3)
+    assert sorted(ended) == [r for r in range(3) if r != failing]
+    assert threading.active_count() == threads
+
+
+def test_ctrl_c_while_the_calling_thread_waits_stops_every_worker():
+    # the calling thread's part has ended; Ctrl-C arrives while it waits for
+    # two workers, which end only once stop is set
+    threads = threading.active_count()
+    waiting, ended = threading.Event(), []
+
+    def fill(rows, stop):
+        if rows[0] == 0:
+            waiting.set()
+            return
+        if rows[0] == 1:
+            assert waiting.wait(10)
+            time.sleep(0.1)  # the calling thread is now waiting
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        assert stop.wait(10)
+        time.sleep(0.05)
+        ended.append(rows[0])
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            harness._on_threads(fill, 3, 3)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert sorted(ended) == [1, 2]
+    assert threading.active_count() == threads
 
 
 def test_krasulina_records_small_potentials_as_positive():

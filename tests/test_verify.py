@@ -14,7 +14,7 @@ from incpca import estimators, harness, linalg, theory, verify
 from incpca.distributions import CoordinateDistribution, GaussianSpectrum, random_unit_vectors
 from incpca.harness import CHUNK
 from incpca.linalg import potential
-from incpca.estimators import krasulina_update, xi, z_increment
+from incpca.estimators import krasulina_update, oja_update, xi, z_increment
 from incpca.theory import beta_step
 from incpca.verify import (
     CheckReport,
@@ -323,9 +323,11 @@ def test_pathwise_report_does_not_depend_on_the_batch_size(monkeypatch, rule, ki
     assert reports[0].detail.startswith(f"{kind} at step n=2100 trial=2: V=[")
 
 
-def test_z_increment_keeps_the_bits_of_its_xi_form():
+@pytest.mark.parametrize("rule", ["krasulina", "oja"])
+def test_z_increment_keeps_the_bits_of_its_xi_form(rule):
     # z_increment reuses its |v|^2 for xi; the form that called xi(v, x),
-    # which squares v again, must give the same Z
+    # which squares v again, must give the same Z, on random rows and on
+    # the states the rule's own steps reach (Krasulina's norms grow, Oja's stay 1)
     def via_xi(v, x, gamma, v_star):
         v = np.asarray(v, dtype=float)
         nsq = np.einsum("...i,...i->...", v, v)
@@ -338,6 +340,13 @@ def test_z_increment_keeps_the_bits_of_its_xi_form():
     V, X, gamma = rng.standard_normal((64, 5)), rng.standard_normal((64, 5)), rng.random(64)
     assert np.array_equal(z_increment(V, X, gamma, v_star), via_xi(V, X, gamma, v_star))
     assert z_increment(V[0], X[0], 0.3, v_star) == via_xi(V[0], X[0], 0.3, v_star)
+    update = krasulina_update if rule == "krasulina" else oja_update
+    v_star = DIST.ground_truth().v_star
+    V = random_unit_vectors(5, 8, rng)
+    for n in range(1, 301):
+        X, gamma = DIST.sample_block(rng, 8), 2.0 / (n + 10)
+        assert np.array_equal(z_increment(V, X, gamma, v_star), via_xi(V, X, gamma, v_star))
+        V = update(V, X, gamma)
 
 
 ROTATED = GaussianSpectrum(

@@ -103,15 +103,22 @@ class CoordinateDistribution:
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
         """Blocks of at most `size` rows that concatenate to sample_block(rng, n).
 
-        The support of all n draws is drawn at once (an index and a sign per
-        sample), so the stream is consumed as by one sample_block call; only
-        one dense block is built at a time.  n < 0 or size < 1 raises
-        ValueError at the first block, before the stream is read.
+        The stream holds the n coordinate uniforms, then the n sign uniforms.
+        The first block therefore reads all n coordinate uniforms, `size` at
+        a time, and keeps their indices in one compact array (1 byte a
+        sample at d <= 256); each block then draws its own signs.  So the
+        stream is consumed as by one sample_block call with any bit
+        generator, and only one dense block is built at a time.  n < 0 or
+        size < 1 raises ValueError at the first block, before the stream is
+        read.
         """
         _check_block_sizes(n, size)
-        coords, signs = self.draw_support(rng, n)
+        coords = np.empty(n, dtype=np.min_scalar_type(self.d - 1))
         for a in range(0, n, size):
-            yield self._scatter(coords[a : a + size], signs[a : a + size])
+            coords[a : a + size] = self._coords(rng.random(min(size, n - a)))
+        for a in range(0, n, size):
+            block = coords[a : a + size]
+            yield self._scatter(block, _signs(rng, block.size))
 
     def _scatter(self, coords, signs) -> np.ndarray:
         """The dense (m, d) rows of a support draw."""
@@ -120,18 +127,32 @@ class CoordinateDistribution:
         out[np.arange(m), coords] = np.where(coords == 0, 1.0, self.sigma) * signs
         return out
 
-    def draw_support(self, rng: np.random.Generator, m: int):
-        """Compact draw of m samples: coordinate indices (0-based) and signs.
+    def _coords(self, u: np.ndarray) -> np.ndarray:
+        """The coordinate indices (intp, 0-based) that uniforms u pick; u is overwritten.
 
-        `sample_block` and `sample_blocks` are built from it, so all three
-        consume the stream alike.
+        Index 0 has mass p, and the tail spreads evenly over 1..d-1.  The
+        steps of (u - p) / (1 - p) * (d - 1) run in place, with the bits of
+        the written-out expression.
         """
-        u = rng.random(m)
-        frac = (u - self.p) / (1.0 - self.p)  # the tail spreads evenly over coordinates 1..d-1
-        tail = 1 + np.minimum((frac * (self.d - 1)).astype(np.intp), self.d - 2)
-        coords = np.where(u < self.p, 0, tail)
-        signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-        return coords, signs
+        head = u < self.p
+        u -= self.p
+        u /= 1.0 - self.p
+        u *= self.d - 1
+        coords = u.astype(np.intp)
+        np.minimum(coords, self.d - 2, out=coords)
+        coords += 1
+        np.copyto(coords, 0, where=head)
+        return coords
+
+    def draw_support(self, rng: np.random.Generator, m: int):
+        """Compact draw of m samples: coordinate indices (intp, 0-based) and signs.
+
+        The stream holds the m coordinate uniforms, then the m sign uniforms.
+        `sample_block` is built from it, and `sample_blocks` reads the stream
+        in the same order, so all three consume it alike.
+        """
+        coords = self._coords(rng.random(m))
+        return coords, _signs(rng, m)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_block(rng, 1)[0]
@@ -259,6 +280,11 @@ class GaussianSpectrum:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_block(rng, 1)[0]
+
+
+def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m signs of +-1.0, one uniform each."""
+    return np.where(rng.random(m) < 0.5, -1.0, 1.0)
 
 
 def _check_block_sizes(n: int, size: int) -> None:

@@ -97,9 +97,8 @@ class EstimatorState:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-def _increment(v: np.ndarray, x: np.ndarray, nsq) -> np.ndarray:
-    """xi(v, x) for a v whose squared norm nsq is already known."""
-    dot = _einsum("...i,...i->...", v, x)
+def _increment(v: np.ndarray, x: np.ndarray, nsq, dot) -> np.ndarray:
+    """xi(v, x) for a v whose squared norm nsq and dot v.x are already known."""
     inc = dot[..., None] * x
     inc -= (dot * dot / nsq)[..., None] * v
     return inc
@@ -116,7 +115,8 @@ def xi(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     nsq = _einsum("...i,...i->...", v, v)
     if np.any(nsq == 0.0):
         raise ValueError("xi undefined for the zero vector")
-    return _increment(v, np.asarray(x, dtype=float), nsq)
+    x = np.asarray(x, dtype=float)
+    return _increment(v, x, nsq, _einsum("...i,...i->...", v, x))
 
 
 def z_increment(v, x, gamma, v_star):
@@ -129,7 +129,9 @@ def z_increment(v, x, gamma, v_star):
     nsq = _einsum("...i,...i->...", v, v)
     if np.any(nsq == 0.0):
         raise ValueError("xi undefined for the zero vector")
-    return _z(v, _increment(v, np.asarray(x, dtype=float), nsq), nsq, gamma, v_star)
+    x = np.asarray(x, dtype=float)
+    inc = _increment(v, x, nsq, _einsum("...i,...i->...", v, x))
+    return _z(v, inc, nsq, gamma, v_star)
 
 
 def _z(v, inc, nsq, gamma, v_star):
@@ -145,7 +147,7 @@ def krasulina_update(V: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     V + gamma * xi, computed in place in the increment: IEEE + and * commute,
     so the bits are those of the written-out expression.
     """
-    W = _increment(V, x, _einsum("...i,...i->...", V, V))
+    W = _increment(V, x, _einsum("...i,...i->...", V, V), _einsum("...i,...i->...", V, x))
     W *= gamma
     W += V
     return W

@@ -271,10 +271,12 @@ def _oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid):
     the state is |V| * exp(L) up to sign and scale, where L sums
     log1p(gamma_n s^2) into the sampled coordinates.  Each trial draws its
     support from its own stream in the same CHUNK-sized blocks as
-    `trajectories`, so it sees the same samples.  Per chunk, one bincount
-    sums the logs per (trial, grid segment, coordinate) and a cumsum over
-    segments gives L at every grid point in the chunk.  Yields (n, W) at
-    each point n > n_o, where the rows of W are the magnitudes
+    `trajectories`, so it sees the same samples: each trial reads its
+    chunk's coordinate uniforms into its row of one (T, m) array, and one
+    `CoordinateDistribution._coords` call maps them all.  Per chunk, one
+    bincount sums the logs per (trial, grid segment, coordinate) and a
+    cumsum over segments gives L at every grid point in the chunk.  Yields
+    (n, W) at each point n > n_o, where the rows of W are the magnitudes
     exp(L - max L); with v* = e_1 they have the states' potential.  All
     arithmetic is row-local, so a row does not depend on the other rows
     of the batch.
@@ -286,10 +288,13 @@ def _oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid):
     n = n_o
     while n < horizon:
         m = min(CHUNK, horizon - n)
-        coords = np.empty((T, m), dtype=np.intp)
+        u, signs = np.empty((T, m)), np.empty(m)
         for row, rng in enumerate(rngs):
+            rng.random(out=u[row])
             # the unused signs are still drawn, so the stream advances as in sample_block
-            coords[row] = dist.draw_support(rng, m)[0]
+            rng.random(out=signs)
+        coords = dist._coords(u)
+        del u, signs
         steps = np.arange(n + 1, n + m + 1)
         gamma = c / steps
         logs = np.where(coords == 0, np.log1p(gamma), np.log1p(gamma * dist.sigma**2))
@@ -526,6 +531,7 @@ def write_schedule_csv(path, schedule) -> None:
 def write_bound_csv(path, params, ns) -> None:
     from .theory import krasulina_bound
 
-    rows = ((int(n), krasulina_bound(params, int(n))) for n in ns)
+    # computed before the file is opened, so a bound that fails leaves no file
+    rows = [(int(n), krasulina_bound(params, int(n))) for n in ns]
     with open(path, "w", newline="") as fh:
         write_csv(fh, ["n", "bound"], rows)

@@ -27,12 +27,12 @@ of `estimators.xi`, and Z from them by the expression that
 The Monte Carlo checks hold one block of at most _BLOCK samples at a time,
 not the sample matrix, and one block of their statistic: the xi and z
 checks see the draws of one `sample_block` call, and on coordinate data
-they also hold the compact support of the draw (an index and a sign per
-sample), and on Gaussian data the whole draw once a block rejects a row
-(`GaussianSpectrum.sample_blocks` replays it from the start).  All three
-merge their block moments in `_sample_moments`, so above _BLOCK samples
-their values differ from a one-shot mean and standard deviation (n - 1
-form) in the last bits only.
+they also hold the coordinate indices of the whole draw (1 byte a sample
+at d <= 256; the signs are drawn block by block), and on Gaussian data
+the whole draw once a block rejects a row (`GaussianSpectrum.sample_blocks`
+replays it from the start).  All three merge their block moments in
+`_sample_moments`, so above _BLOCK samples their values differ from a
+one-shot mean and standard deviation (n - 1 form) in the last bits only.
 """
 
 from __future__ import annotations
@@ -258,11 +258,12 @@ def _pathwise_violations(rule, v_star, B, trials, batch, last):
         if bad.size:
             first.append((bad[0], kind, quantities))
 
-    # |V|^2 and xi are formed once per row, with the bits of estimators.xi,
-    # and Z from them by the expression that estimators.z_increment runs
+    # |V|^2, V.x and xi are formed once per row, with the bits of
+    # estimators.xi, and Z from them by the expression that
+    # estimators.z_increment runs
     nsq = linalg._einsum("ij,ij->i", V, V)
     dot = linalg._einsum("ij,ij->i", V, x)
-    xi = estimators._increment(V, x, nsq)
+    xi = estimators._increment(V, x, nsq, dot)
     xi_nsq = linalg._einsum("ij,ij->i", xi, xi)
     xi_dot_v = linalg._einsum("ij,ij->i", xi, V)
     Z = estimators._z(V, xi, nsq, gamma, v_star)

@@ -377,6 +377,17 @@ def test_theory_input_that_overflows_is_one_line(tmp_path, capsys, argv):
     assert err.startswith("incpca: error: ") and err.count("\n") == 1
 
 
+def test_a_bound_that_overflows_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = [*BOUND, "--delta", "0.1", "--B", "1e200", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    out.write_bytes(b"n,bound\n1,0.5\n")
+    assert main(argv) == 2
+    assert out.read_bytes() == b"n,bound\n1,0.5\n"
+    capsys.readouterr()
+
+
 def test_slope_reads_back_gaussian_run(tmp_path, capsys):
     out = tmp_path / "gauss.csv"
     eigenvalues = ",".join(repr(1.0 / k) for k in range(1, 13))

@@ -1,5 +1,7 @@
 """Tests for the data sources and their spectral ground truth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,44 @@ def test_sample_blocks_concatenate_to_one_sample_block(dist, size):
     assert 1 <= len(blocks[-1]) <= size
     assert np.array_equal(np.concatenate(blocks), ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _same_state(a, b):
+    """Whether two bit generator states (nested dicts of ints and arrays) are equal."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64])
+@pytest.mark.parametrize("d", [5, 300])  # indices held as uint8, and as uint16
+@pytest.mark.parametrize("n, size", [(1000, 1), (1000, 7), (1000, 5000), (0, 5)])
+def test_coordinate_blocks_concatenate_on_any_bit_generator(bit_generator, d, n, size):
+    dist = CoordinateDistribution(p=0.3, sigma=0.5, d=d)
+    rng, ref_rng = np.random.Generator(bit_generator(8)), np.random.Generator(bit_generator(8))
+    ref = dist.sample_block(ref_rng, n)
+    blocks = list(dist.sample_blocks(rng, n, size))
+    assert [len(b) for b in blocks] == [min(size, n - a) for a in range(0, n, size)]
+    assert np.array_equal(np.concatenate([np.empty((0, d)), *blocks]), ref)
+    assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    if d == 300 and n:
+        assert ref.nonzero()[1].max() > 255  # past what a uint8 index holds
+
+
+def test_a_coordinate_reader_holds_one_block_and_the_indices():
+    dist = CoordinateDistribution(p=0.3, sigma=0.5, d=10)
+    tracemalloc.start()
+    try:
+        # map drops each block before the next one is drawn
+        rows = sum(map(len, dist.sample_blocks(np.random.default_rng(0), 1_000_000, 100_000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 1_000_000
+    # a (1e5, 10) block is 8 MB and the 1e6 indices 1 MB; the rest is the
+    # block's few (1e5,) temporaries.  The support of all 1e6 draws as intp
+    # indices and float signs would be 16 MB.
+    assert peak < 12.5e6
 
 
 def test_the_gaussian_sources_reach_both_ways_of_drawing_blocks():

@@ -402,6 +402,47 @@ def test_closed_form_oja_matches_the_dense_engine(init_mode, init_k, n_o, horizo
     assert np.allclose(fast.psi, dense.psi, rtol=1e-10, atol=0.0)
 
 
+def _per_trial_oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid):
+    """Reference: harness._oja_coordinate_states with one draw_support call per trial."""
+    T, d = V.shape
+    points = np.unique(grid[grid > n_o])
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(V))
+    n = n_o
+    while n < horizon:
+        m = min(CHUNK, horizon - n)
+        coords = np.empty((T, m), dtype=np.intp)
+        for row, rng in enumerate(rngs):
+            coords[row] = dist.draw_support(rng, m)[0]
+        steps = np.arange(n + 1, n + m + 1)
+        gamma = c / steps
+        logs = np.where(coords == 0, np.log1p(gamma), np.log1p(gamma * dist.sigma**2))
+        seg = np.searchsorted(points, steps)
+        nseg = int(seg[-1]) + 1
+        bins = (np.arange(T)[:, None] * nseg + seg) * d + coords
+        sums = np.bincount(bins.ravel(), weights=logs.ravel(), minlength=T * nseg * d)
+        cum = logw[:, None, :] + np.cumsum(sums.reshape(T, nseg, d), axis=1)
+        n += m
+        done = int(np.searchsorted(points, n, side="right"))
+        for j in range(done):
+            L = cum[:, j]
+            yield int(points[j]), np.exp(L - L.max(axis=1, keepdims=True))
+        points = points[done:]
+        logw = cum[:, -1]
+
+
+@pytest.mark.parametrize("trials", [1, 3, 100])
+@pytest.mark.parametrize("d", [2, 10])
+def test_closed_form_oja_keeps_the_bits_of_a_draw_per_trial(monkeypatch, trials, d):
+    dist = CoordinateDistribution(p=0.3, sigma=0.5, d=d)
+    args = (dist, "oja", 2.0, 37, 2 * CHUNK + 301, trials, 5)
+    batched = simulate(*args)
+    monkeypatch.setattr(harness, "_oja_coordinate_states", _per_trial_oja_coordinate_states)
+    per_trial = simulate(*args)
+    assert np.array_equal(batched.grid, per_trial.grid)
+    assert np.array_equal(batched.psi, per_trial.psi)
+
+
 def test_renormalization_leaves_results_unchanged(monkeypatch):
     # with threshold 1 every growing Krasulina row is renormalized at the
     # end of each chunk; the potential is scale-invariant

@@ -15,6 +15,8 @@ config value, file or input prints one line `incpca: error: ...` and exits
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import os
 import sys
 
@@ -54,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
         return value
 
 
+def _finite(text: str) -> float:
+    """The type of every float flag: a float that is neither nan nor +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> str:
     """--eigenvalues' type: the text itself, once each comma separated item is a float.
 
@@ -82,13 +95,13 @@ def _out_path(args, default_name: str) -> str:
 
 def _add_dist_args(p):
     p.add_argument("--dist", default="coordinate", choices=["coordinate", "gaussian"])
-    p.add_argument("--p", type=float, default=0.2)
-    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--p", type=_finite, default=0.2)
+    p.add_argument("--sigma", type=_finite, default=0.5)
     p.add_argument("--d", type=int, default=10)
     p.add_argument(
         "--eigenvalues", type=_float_list, default="2,1", help="comma separated, descending"
     )
-    p.add_argument("--clip-radius", type=float, default=0.0, help="0 = 10*trace default")
+    p.add_argument("--clip-radius", type=_finite, default=0.0, help="0 = 10*trace default")
 
 
 def build_parser(
@@ -109,8 +122,8 @@ def build_parser(
     run.add_argument("--rule", default=KRASULINA, choices=[KRASULINA, OJA])
     run.add_argument("--init", default="random_unit", choices=["random_unit", "first_point", "average_k"])
     run.add_argument("--init-k", type=int)
-    run.add_argument("--c", type=float, help="learning-rate constant")
-    run.add_argument("--c-o", type=float, help="gap-normalized rate constant")
+    run.add_argument("--c", type=_finite, help="learning-rate constant")
+    run.add_argument("--c-o", type=_finite, help="gap-normalized rate constant")
     run.add_argument("--n-o", type=int, default=0)
     run.add_argument("--horizon", type=int, default=100_000)
     run.add_argument("--trials", type=int, default=100)
@@ -119,33 +132,33 @@ def build_parser(
     slope = sub.add_parser("slope", help="log-log slope of an experiment CSV")
     slope.add_argument("--input", required=True)
     slope.add_argument("--column", default="mean_psi")
-    slope.add_argument("--n-min", type=float, required=True)
-    slope.add_argument("--n-max", type=float, required=True)
+    slope.add_argument("--n-min", type=_finite, required=True)
+    slope.add_argument("--n-max", type=_finite, required=True)
 
     cx = sub.add_parser("counterexample", help="orthogonality-trap frequency")
     _add_dist_args(cx)
     cx.add_argument("--rule", default=KRASULINA, choices=[KRASULINA, OJA])
     cx.add_argument("--init", default="first_point", choices=["random_unit", "first_point", "average_k"])
     cx.add_argument("--init-k", type=int)
-    cx.add_argument("--c", type=float, default=1.0)
+    cx.add_argument("--c", type=_finite, default=1.0)
     cx.add_argument("--trials", type=int, default=1000)
     cx.add_argument("--horizon", type=int, default=2000)
 
     sched = sub.add_parser("schedule", help="epoch ladder table")
-    sched.add_argument("--delta", type=float, required=True)
+    sched.add_argument("--delta", type=_finite, required=True)
     sched.add_argument("--d", type=int, required=True)
-    sched.add_argument("--c-o", type=float, required=True)
-    sched.add_argument("--c", type=float, required=True)
-    sched.add_argument("--B", type=float, default=1.0)
+    sched.add_argument("--c-o", type=_finite, required=True)
+    sched.add_argument("--c", type=_finite, required=True)
+    sched.add_argument("--B", type=_finite, default=1.0)
 
     bound = sub.add_parser("bound", help="convergence-bound curve as CSV")
-    bound.add_argument("--c-o", type=float, required=True)
-    bound.add_argument("--B", type=float, default=1.0)
+    bound.add_argument("--c-o", type=_finite, required=True)
+    bound.add_argument("--B", type=_finite, default=1.0)
     bound.add_argument("--d", type=int, required=True)
-    bound.add_argument("--delta", type=float, required=True)
+    bound.add_argument("--delta", type=_finite, required=True)
     bound.add_argument("--n-o", type=int, required=True)
-    bound.add_argument("--lambda1", type=float, required=True)
-    bound.add_argument("--lambda2", type=float, required=True)
+    bound.add_argument("--lambda1", type=_finite, required=True)
+    bound.add_argument("--lambda2", type=_finite, required=True)
     bound.add_argument("--n-min", type=int, required=True)
     bound.add_argument("--n-max", type=int, required=True)
     bound.add_argument("--points", type=int, default=100)
@@ -221,8 +234,25 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming_the_flags(args):
+    """Re-raise an ArithmeticError as one that lists the subcommand's flags and values."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        flags = " ".join(
+            f"--{name.replace('_', '-')} {value!r}"
+            for name, value in vars(args).items()
+            if name not in ("command", "out", "config")
+        )
+        # OverflowError(34, 'Numerical result out of range') ends in its message
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        raise ArithmeticError(f"{args.command} {flags}: {detail}") from None
+
+
 def _cmd_schedule(args) -> int:
-    sched = theory.epoch_schedule(args.delta, args.d, args.c_o, args.c, args.B)
+    with _naming_the_flags(args):
+        sched = theory.epoch_schedule(args.delta, args.d, args.c_o, args.c, args.B)
     path = _out_path(args, f"schedule_d{args.d}_delta{args.delta}.csv")
     harness.write_schedule_csv(path, sched)
     print(path)
@@ -245,7 +275,8 @@ def _cmd_bound(args) -> int:
         raise ValueError("need --points >= 1")
     ns = harness.log_grid(args.n_min, args.n_max, args.points)
     path = _out_path(args, f"bound_co{args.c_o}.csv")
-    harness.write_bound_csv(path, params, ns)
+    with _naming_the_flags(args):
+        harness.write_bound_csv(path, params, ns)
     print(path)
     return 0
 

@@ -27,6 +27,11 @@ __all__ = [
     "random_unit_vectors",
 ]
 
+# redrawn rows per requested row after which a Gaussian draw gives up: with
+# acceptance rate a a draw redraws m (1 - a) / a rows on average, so a clip
+# radius that accepts under about 1% of samples fails instead of looping
+MAX_REDRAWS = 100
+
 
 def trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
     """Independent, reproducible per-trial generator."""
@@ -227,7 +232,10 @@ class GaussianSpectrum:
         )
 
     def sample_block(self, rng, m, return_rejections: bool = False):
-        """(m, d) block of i.i.d. draws; with return_rejections, also the rows redrawn."""
+        """(m, d) block of i.i.d. draws; with return_rejections, also the rows redrawn.
+
+        Raises ValueError once more than MAX_REDRAWS * m rows are redrawn.
+        """
         scale = np.sqrt(self.eigenvalues)
         block = rng.standard_normal((m, self.d))
         block *= scale
@@ -238,6 +246,11 @@ class GaussianSpectrum:
             if nbad == 0:
                 break
             rejected += nbad
+            if rejected > MAX_REDRAWS * m:
+                raise ValueError(
+                    f"clip_radius {self.clip_radius!r} accepts almost no samples: "
+                    f"{rejected} rows redrawn for {m}"
+                )
             block[bad] = rng.standard_normal((nbad, self.d)) * scale
         if self.rotation is not None:
             block = block @ self.rotation.T

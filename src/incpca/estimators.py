@@ -57,7 +57,7 @@ class LearningRate:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:  # nan fails too
             raise ValueError("c must be positive")
 
     def gamma(self, n: int) -> float:

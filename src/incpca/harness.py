@@ -20,8 +20,11 @@ filled on every CPU the process may use; a trial's stream is read by one
 thread at a time, so its draws are identical whichever thread makes them.
 A run's samples live in one reused buffer, filled by one loop
 (`_chunk_blocks`): each trial's rows are copied into its column from a
-block its source returned.  A chunk of at most CHUNK_BYTES takes that
-block from one `sample_block` call per trial, and a larger one is filled
+block its source returned.  From 128 trials on, a thread copies the
+blocks of T // SCRATCH_SHARE trials in one assignment, so each step gets
+that many trials' values as one contiguous run instead of d values per
+trial T * d apart.  A chunk of at most CHUNK_BYTES takes its blocks from
+one `sample_block` call per trial, and a larger one is filled
 CHUNK_BYTES // (trials * d * 8) steps at a time from each trial's own
 `sample_blocks` reader, which draws the same rows; only the chunk's size
 decides, never the source type.  So a yielded sample block is valid only
@@ -70,6 +73,10 @@ __all__ = [
 CHUNK = 2048
 # a chunk of more bytes than this is drawn a sub-block of steps at a time
 CHUNK_BYTES = 64 * 2**20
+# a thread copies blocks into a chunk T // SCRATCH_SHARE trials at a time, so
+# its scratch holds at most 1/SCRATCH_SHARE of the chunk buffer: a fixed
+# 1 MiB scratch took a 50-trial run past 1.5 chunks of traced memory
+SCRATCH_SHARE = 64
 ROWS = 4096  # (step, trial) rows per call of the potential and pathwise checks
 TRAP_THRESHOLD = 0.99  # a final potential above this counts as trapped
 # CPUs this process may run on: the threads that fill a chunk
@@ -195,22 +202,40 @@ def _chunk_blocks(dist, rngs, m: int, buf):
     reader, which draws what one `sample_block(rng, m)` draws, so the two
     give the same bits.  A trial's generator is read by one thread only.
     A block is overwritten when the next is drawn.
+
+    A trial's column is strided: its d values per step sit T * d apart.
+    So with G = T // SCRATCH_SHARE >= 2, a thread stacks the n-row blocks
+    of G consecutive trials of its part in a (G, n, d) scratch, at most
+    1/SCRATCH_SHARE of buf, and copies that into their columns in one
+    assignment, which writes G * d contiguous values per step; a part's
+    last group may be shorter, and no group spans two parts.  Below 128
+    trials each block is copied straight into its column.
     """
-    S = len(buf)
+    S, T, d = buf.shape
+    G = T // SCRATCH_SHARE
     if m <= S:
         # map is lazy: a trial's one draw runs on the thread that copies it
         readers = [map(dist.sample_block, [rng], [m]) for rng in rngs]
     else:
         readers = [dist.sample_blocks(rng, m, S) for rng in rngs]
     for a in range(0, m, S):
-        cols = buf[: m - a].transpose(1, 0, 2)
+        X = buf[: m - a]
+        cols = X.transpose(1, 0, 2)
 
         def fill(rows, stop):  # every part runs to its end
-            for row in rows:
-                cols[row] = next(readers[row])
+            if G < 2:
+                for row in rows:
+                    cols[row] = next(readers[row])
+                return
+            scratch = np.empty((G, len(X), d))
+            for r in range(rows.start, rows.stop, G):
+                group = range(r, min(r + G, rows.stop))
+                for j, row in enumerate(group):
+                    scratch[j] = next(readers[row])
+                cols[r : group.stop] = scratch[: len(group)]
 
-        _on_threads(fill, len(rngs), CPUS)
-        yield buf[: m - a]
+        _on_threads(fill, T, CPUS)
+        yield X
 
 
 def trajectories(dist, rule: str, c: float, n_o: int, horizon: int, V, rngs):
@@ -338,7 +363,7 @@ def simulate(
     (`_oja_coordinate_states`), everything else on `trajectories`; the
     potential is evaluated on about ROWS (step, trial) rows per call.
     """
-    if c <= 0:
+    if not c > 0:  # nan fails too
         raise ValueError("c must be positive")
     if n_o < 0:
         raise ValueError("n_o must be >= 0")

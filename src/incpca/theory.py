@@ -102,11 +102,12 @@ class BoundParams:
     lambda2: float
 
     def __post_init__(self):
-        if self.lambda1 <= self.lambda2:
+        # written so that nan fails every check
+        if not self.lambda1 > self.lambda2:
             raise ValueError("need lambda1 > lambda2")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.c_o <= 0 or self.B <= 0 or self.d < 2 or self.n_o < 0:
+        if not (self.c_o > 0 and self.B > 0 and self.d >= 2 and self.n_o >= 0):
             raise ValueError("bad bound parameters")
 
     @property
@@ -181,7 +182,7 @@ def epoch_schedule(delta: float, d: int, c_o: float, c: float, B: float) -> Epoc
         raise ValueError("delta must be in (0, 1)")
     if d < 3:
         raise ValueError("d must be >= 3")
-    if c_o <= 0 or c <= 0 or B <= 0:
+    if not (c_o > 0 and c > 0 and B > 0):  # nan fails too
         raise ValueError("c_o, c, B must be positive")
     eps0 = delta**2 / (8.0 * math.e * d)
     if eps0 >= 0.5:

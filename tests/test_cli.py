@@ -374,7 +374,23 @@ BOUND = ["bound", "--c-o", "4", "--d", "10", "--n-o", "100", "--lambda1", "1",
 def test_theory_input_that_overflows_is_one_line(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("incpca: error: ") and err.count("\n") == 1
+    assert err.startswith(f"incpca: error: {argv[0]} ") and err.count("\n") == 1
+    # the line names every given flag with its value, as parsed
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        value = int(text) if flag in ("--d", "--n-o", "--n-min", "--n-max") else float(text)
+        assert f" {flag} {value!r}" in err, flag
+
+
+def test_a_clip_radius_that_accepts_no_sample_is_one_line(tmp_path, capsys):
+    # every row is rejected, so the draw gives up after redrawing 100 rows per row
+    out = tmp_path / "x.csv"
+    argv = ["run", "--dist", "gaussian", "--eigenvalues", "2,1", "--clip-radius", "1e-9",
+            "--rule", "oja", "--c", "1", "--horizon", "10", "--trials", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("incpca: error: clip_radius 1e-09 accepts almost no samples")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_bound_that_overflows_writes_no_file(tmp_path, capsys):
@@ -482,8 +498,23 @@ def test_file_and_config_errors_are_one_line(tmp_path, capsys, argv, message):
              "--lambda1", "0.9", "--lambda2", "0.05", "--n-min", "1000"],
             "the following arguments are required: --n-max",
         ),
+        # without the check: a CSV of nan, "state has a non-finite squared
+        # norm", "cannot convert float NaN to integer"
+        ([*BOUND, "--delta", "0.1", "--c-o", "nan"], "argument --c-o: need a finite number, got 'nan'"),
+        (["run", "--c", "nan"], "argument --c: need a finite number, got 'nan'"),
+        (
+            [*SCHEDULE, "--delta", "0.1", "--c-o", "4", "--c", "NaN"],
+            "argument --c: need a finite number, got 'NaN'",
+        ),
+        (["run", "--c-o=-inf"], "argument --c-o: need a finite number, got '-inf'"),
+        (
+            ["run", "--dist", "gaussian", "--clip-radius", "inf", "--c", "1"],
+            "argument --clip-radius: need a finite number, got 'inf'",
+        ),
+        (["run", "--c", "x"], "argument --c: invalid float value: 'x'"),
     ],
-    ids=["choice", "type", "missing"],
+    ids=["choice", "type", "missing", "bound-nan", "run-nan", "schedule-nan", "run-inf",
+         "clip-radius-inf", "float-type"],
 )
 def test_bad_flags_are_one_line(capsys, argv, message):
     assert main(argv) == 2

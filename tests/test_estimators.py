@@ -28,8 +28,9 @@ def test_learning_rate_schedule():
     lr = LearningRate(c=2.0)
     assert lr.gamma(1) == 2.0
     assert lr.gamma(4) == 0.5
-    with pytest.raises(ValueError):
-        LearningRate(c=0.0)
+    for c in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="c must be positive"):
+            LearningRate(c=c)
 
 
 def test_krasulina_orthogonal_input_is_noop():

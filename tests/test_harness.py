@@ -177,14 +177,18 @@ def test_chunk_rows_do_not_depend_on_the_split(monkeypatch, T):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_step_major_chunk_holds_the_same_bits_as_a_trial_major_one(monkeypatch, workers):
-    # each trial's rows are copied into its strided column of a 7-trial
-    # buffer; alone, a trial's column is contiguous
+    # each trial's rows are copied into its strided column; alone, a trial's
+    # column is contiguous.  7 trials are copied one at a time, 200 in groups
+    # of 3, where parts of 100 or 66-67 trials end in a shorter group
+    assert [T // harness.SCRATCH_SHARE for T in (7, 200)] == [0, 3]
     monkeypatch.setattr(harness, "CPUS", workers)
-    T, m = 7, 50
-    for dist in (CLIPPED, DIST):
-        for steps in (m, 7):  # a whole chunk, 7-step sub-blocks with a 1-step tail
-            alone = np.concatenate([_chunk(dist, [t], m, steps) for t in range(T)])
-            assert np.array_equal(_chunk(dist, range(T), m, steps), alone), (dist, steps)
+    m = 50
+    for T in (7, 200):
+        for dist in (CLIPPED, DIST):
+            for steps in (m, 7):  # a whole chunk, 7-step sub-blocks with a 1-step tail
+                alone = np.concatenate([_chunk(dist, [t], m, steps) for t in range(T)])
+                got = _chunk(dist, range(T), m, steps)
+                assert np.array_equal(got, alone), (T, dist, steps)
 
 
 @pytest.mark.parametrize("dist", [GAUSS, DIST], ids=["gaussian", "coordinate"])
@@ -556,6 +560,8 @@ def test_simulate_records_every_copy_of_a_repeated_grid_point(rule):
 def test_simulate_rejects_a_horizon_below_the_start_time(rule):
     with pytest.raises(ValueError, match="horizon must be >= n_o"):
         simulate(DIST, rule, 1.0, 10, 5, 2, 0)
+    with pytest.raises(ValueError, match="c must be positive"):
+        simulate(DIST, rule, float("nan"), 10, 20, 2, 0)
     # at horizon == n_o no step runs, and the one grid point holds the initial states
     res = simulate(DIST, rule, 1.0, 10, 10, 2, 0)
     V, _, _ = harness.init_states(DIST, rule, "random_unit", None, 0, range(2))

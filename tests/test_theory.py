@@ -104,6 +104,12 @@ class TestEpochSchedule:
         assert s.pairs[-1][1] == 0.5
         assert s.pairs[-2][1] <= 0.25
 
+    @pytest.mark.parametrize("arg", ["c_o", "c", "B"])
+    def test_a_nan_rate_or_bound_is_rejected(self, arg):
+        kw = dict(delta=0.1, d=10, c_o=4.0, c=1.0, B=1.0)
+        with pytest.raises(ValueError, match="c_o, c, B must be positive"):
+            epoch_schedule(**{**kw, arg: math.nan})
+
     def test_audit_passes_every_condition(self):
         for delta, d, c_o in [(0.1, 10, 4.0), (0.25, 3, 4.0), (0.05, 20, 6.0)]:
             s = epoch_schedule(delta=delta, d=d, c_o=c_o, c=1.0, B=1.0)
@@ -144,6 +150,11 @@ class TestBoundParams:
         )
         base.update(kw)
         return BoundParams(**base)
+
+    @pytest.mark.parametrize("field", ["c_o", "B", "delta", "lambda1", "lambda2"])
+    def test_a_nan_parameter_is_rejected(self, field):
+        with pytest.raises(ValueError):
+            self._params(**{field: math.nan})
 
     def test_derived_quantities(self):
         p = self._params()

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import harness, theory, verify
-from .distributions import CoordinateDistribution, GaussianSpectrum
+from .distributions import CoordinateDistribution, GaussianSpectrum, RejectionError
 from .estimators import KRASULINA, OJA
 
 
@@ -182,6 +182,26 @@ def build_parser(
     return ap
 
 
+@contextlib.contextmanager
+def _naming_the_run_flags(args, c: float):
+    """Check `run`'s step-size constant c, and name the flag behind each error of the run.
+
+    c is --c, or c_o / (2 gap) for --c-o, which can be 0 or inf for a
+    finite flag.  An ArithmeticError (the states left the floating-point
+    range) names that flag, and a Gaussian draw that gives up names
+    --clip-radius.
+    """
+    rate = f"--c {args.c!r}" if args.c is not None else f"--c-o {args.c_o!r}"
+    if not 0 < c < math.inf:
+        raise ValueError(f"{rate}: need a positive, finite step-size constant, got c = {c!r}")
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{rate}: {exc}") from None
+    except RejectionError as exc:
+        raise ValueError(f"--clip-radius {args.clip_radius!r}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     dist = _make_dist(args)
     config = harness.ExperimentConfig(
@@ -197,7 +217,8 @@ def _cmd_run(args) -> int:
         master_seed=args.seed,
         grid_points=args.grid_points,
     )
-    agg = harness.run_experiment(config)
+    with _naming_the_run_flags(args, config.resolved_c()):
+        agg = harness.run_experiment(config)
     c_label = args.c if args.c is not None else f"co{args.c_o}"
     path = _out_path(args, f"experiment_{args.rule}_c{c_label}.csv")
     harness.write_experiment_csv(path, config, agg)

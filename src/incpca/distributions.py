@@ -22,6 +22,7 @@ __all__ = [
     "GroundTruth",
     "CoordinateDistribution",
     "GaussianSpectrum",
+    "RejectionError",
     "trial_rng",
     "random_unit_vector",
     "random_unit_vectors",
@@ -31,6 +32,10 @@ __all__ = [
 # acceptance rate a a draw redraws m (1 - a) / a rows on average, so a clip
 # radius that accepts under about 1% of samples fails instead of looping
 MAX_REDRAWS = 100
+
+
+class RejectionError(ValueError):
+    """A Gaussian draw redrew more than MAX_REDRAWS rows per requested row."""
 
 
 def trial_rng(master_seed: int, trial_id: int) -> np.random.Generator:
@@ -234,7 +239,7 @@ class GaussianSpectrum:
     def sample_block(self, rng, m, return_rejections: bool = False):
         """(m, d) block of i.i.d. draws; with return_rejections, also the rows redrawn.
 
-        Raises ValueError once more than MAX_REDRAWS * m rows are redrawn.
+        Raises RejectionError once more than MAX_REDRAWS * m rows are redrawn.
         """
         scale = np.sqrt(self.eigenvalues)
         block = rng.standard_normal((m, self.d))
@@ -247,7 +252,7 @@ class GaussianSpectrum:
                 break
             rejected += nbad
             if rejected > MAX_REDRAWS * m:
-                raise ValueError(
+                raise RejectionError(
                     f"clip_radius {self.clip_radius!r} accepts almost no samples: "
                     f"{rejected} rows redrawn for {m}"
                 )

@@ -391,11 +391,15 @@ def simulate(
         steps = ((n, V) for n, _, _, _, V in trajectories(dist, rule, c, n_o, horizon, V, rngs))
     max_psi = np.zeros(len(trial_ids)) if track_max else None
     kept = (s for s in itertools.chain([(n_o, V)], steps) if track_max or s[0] in recorded)
-    for batch in step_batches(kept, len(trial_ids)):
-        rows = linalg.potential(np.stack([V for _, V in batch]), v_star)  # (steps, trials)
-        if track_max:
-            np.maximum(max_psi, rows.max(axis=0), out=max_psi)
-        recorded.update((n, row) for (n, _), row in zip(batch, rows) if n in recorded)
+    # a step size that overflows leaves nan or inf in a state, which persists
+    # to the final step, always scored, where the potential raises
+    # NonFiniteStateError; numpy's warnings on the way would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in step_batches(kept, len(trial_ids)):
+            rows = linalg.potential(np.stack([V for _, V in batch]), v_star)  # (steps, trials)
+            if track_max:
+                np.maximum(max_psi, rows.max(axis=0), out=max_psi)
+            recorded.update((n, row) for (n, _), row in zip(batch, rows) if n in recorded)
     psi = np.stack([recorded[n] for n in grid.tolist()], axis=1)
     return SimResult(grid=grid, psi=psi, failed=failed, max_psi=max_psi)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "EigenConvergenceError",
+    "NonFiniteStateError",
     "rayleigh_quotient",
     "rayleigh_gradient",
     "potential",
@@ -43,6 +44,14 @@ class EigenConvergenceError(RuntimeError):
     """Power iteration failed to reach the requested residual.
 
     Usually a sign of a (near-)degenerate spectrum at the requested index.
+    """
+
+
+class NonFiniteStateError(ValueError, ArithmeticError):
+    """A state whose squared norm is nan or inf.
+
+    A ValueError, as for any bad input, and an ArithmeticError, as for a
+    run whose step size overflowed its states.
     """
 
 
@@ -100,6 +109,7 @@ def potential(V, v_star):
     shape V.shape[:-1], in [0, 1].  Unlike 1 - (V.v*)^2 / |V|^2 it stays
     accurate at small values.  Every product is an einsum (`_einsum`) over
     the last axis, so a row gives the same bits alone or inside any stack.
+    A state whose squared norm is not finite raises NonFiniteStateError.
     """
     V = np.asarray(V, dtype=float)
     v_star = _as_vector(v_star)
@@ -108,7 +118,7 @@ def potential(V, v_star):
     # a nan or inf entry, or an overflowing one, makes its squared norm non-finite
     nsq = _einsum("...i,...i->...", V, V)
     if not np.all(np.isfinite(nsq)):
-        raise ValueError("state has a non-finite squared norm")
+        raise NonFiniteStateError("state has a non-finite squared norm")
     if np.any(nsq == 0.0):
         raise ValueError("potential undefined for the zero vector")
     # V - (V.v*) v* in one buffer: a stack's temporaries are large

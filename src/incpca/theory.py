@@ -35,17 +35,34 @@ A_EXPONENT = 5.0 / (2.0 * math.log(2.0))
 _SLACK = 1e-12
 
 
+# B_2k / (2k)! for k = 1..7: the Euler-Maclaurin corrections of _zeta
+_EM_COEFS = tuple(
+    b / math.factorial(2 * k)
+    for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6), start=1)
+)
+
+
 @functools.cache
 def _zeta(s: float) -> float:
-    """Riemann zeta(s), for the a < 1 recurrence tail, computed once per s.
+    """Riemann zeta(s) for s in (1, 2), the a < 1 recurrence tail's zeta(2 - a).
 
-    scipy.special is imported here, at first use, rather than with this
-    module: every other path of the package needs numpy alone, and the
-    import costs about as much as the rest of a command's start-up.
+    Euler-Maclaurin at N = 10: the terms n^-s for n < N, the integral
+    N^(1-s)/(s-1) and half-term N^-s/2 of the rest, and the corrections
+    B_2k/(2k)! s(s+1)...(s+2k-2) N^(-s-2k+1) through B_14.  The first
+    omitted correction is below 1e-16 relative on (1, 2), so the sum
+    (math.fsum) is good to a few ulps.  Computed once per s.
     """
-    from scipy.special import zeta
-
-    return float(zeta(s))
+    if not 1.0 < s < 2.0:
+        raise ValueError(f"zeta is computed for s in (1, 2), got {s!r}")
+    N = 10
+    terms = [n**-s for n in range(1, N)]
+    terms += [N ** (1.0 - s) / (s - 1.0), 0.5 * N**-s]
+    rise, power = s, N ** (-s - 1.0)  # s(s+1)...(s+2k-2) and N^(-s-2k+1) at k = 1
+    for k, coef in enumerate(_EM_COEFS, start=1):
+        terms.append(coef * rise * power)
+        rise *= (s + 2 * k - 1) * (s + 2 * k)
+        power /= N * N
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

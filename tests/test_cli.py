@@ -1,15 +1,20 @@
 """Tests for the command-line entry points."""
 
+import contextlib
+import io
+import math
 import re
 import shlex
 import signal
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incpca import cli, harness, verify
 from incpca.cli import build_parser, main
@@ -314,7 +319,11 @@ def test_run_input_errors_are_one_line(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["run", "--c", "-1", "--horizon", "100", "--trials", "2"], "c must be positive"),
+        pytest.param(
+            ["run", "--c", "-1", "--horizon", "100", "--trials", "2"],
+            "--c -1.0: need a positive, finite step-size constant, got c = -1.0",
+            id="argv0-c must be positive",
+        ),
         (["counterexample", "--trials", "0", "--horizon", "100"], "need at least one trial"),
         (
             ["verify", "--trials", "0", "--samples", "100", "--steps", "10"],
@@ -388,9 +397,65 @@ def test_a_clip_radius_that_accepts_no_sample_is_one_line(tmp_path, capsys):
             "--rule", "oja", "--c", "1", "--horizon", "10", "--trials", "1", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("incpca: error: clip_radius 1e-09 accepts almost no samples")
+    assert err.startswith(
+        "incpca: error: --clip-radius 1e-09: clip_radius 1e-09 accepts almost no samples"
+    )
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+COORDINATE = ["--dist", "coordinate", "--p", "0.2", "--sigma", "0.5", "--d", "10"]
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [["--rule", "krasulina", "--c", "1e308"], ["--rule", "oja", "--c-o", "1e308"]],
+    ids=["krasulina-c", "oja-c_o"],
+)
+def test_a_step_size_that_overflows_is_one_line_naming_its_flag(tmp_path, capsys, rate):
+    # Krasulina's states overflow in the update; Oja's c = c_o / (2 gap) is inf.
+    # A numpy warning on the way would fail the suite, which turns them into errors.
+    out = tmp_path / "x.csv"
+    argv = ["run", *COORDINATE, *rate, "--horizon", "100", "--trials", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"incpca: error: {rate[2]} 1e+308: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# each flag of `run` that sets the step size or the clip radius, at these values
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "1e308", "5e-324"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.sampled_from(["krasulina", "oja"]),
+    dist=st.sampled_from([COORDINATE, ["--dist", "gaussian", "--eigenvalues", "2,1"]]),
+    rate=st.tuples(st.sampled_from(["--c", "--c-o"]), st.sampled_from(EDGE_VALUES)),
+    clip=st.none() | st.sampled_from(EDGE_VALUES),
+)
+def test_step_size_and_clip_flags_give_a_finite_csv_or_one_line_naming_a_flag(
+    rule, dist, rate, clip
+):
+    given_flags = [rate] if clip is None else [rate, ("--clip-radius", clip)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "x.csv"
+        argv = ["run", *dist, "--rule", rule, *(f"{f}={v}" for f, v in given_flags),
+                "--horizon", "20", "--trials", "2", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc == 0:
+            with open(out, newline="") as fh:
+                header, *rows = harness.read_csv(fh)
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+            return
+        assert not out.exists()
+    assert rc == 2
+    line = err.getvalue()
+    assert line.startswith("incpca: error: ") and line.count("\n") == 1
+    # a flag is named whole: --c is not named by --c-o or --clip-radius
+    assert any(re.search(rf"{f}(?![\w-])", line) for f, _ in given_flags), line
 
 
 def test_a_bound_that_overflows_writes_no_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from incpca import theory
 from incpca.theory import (
     A_EXPONENT,
     BoundParams,
@@ -51,6 +52,22 @@ class TestSolveRecurrence:
             for t in range(t0, 400):
                 u = (1.0 - a / (t + 1)) * u + b / (t + 1) ** 2
                 assert u <= solve_recurrence(u0, t0, a, b, t + 1) * (1 + 1e-12)
+
+
+def test_zeta_agrees_with_scipy_on_1_to_2():
+    # scipy is the reference here only: the package computes zeta itself
+    from scipy.special import zeta
+
+    ends = [np.nextafter(1.0, 2.0), 1.0 + 1e-9, 2.0 - 1e-9, np.nextafter(2.0, 1.0)]
+    s = np.concatenate([ends, np.linspace(1.0, 2.0, 1001)[1:-1]])
+    ours = np.array([theory._zeta(float(v)) for v in s])
+    assert np.abs(ours / zeta(s) - 1.0).max() <= 4e-15
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 0.5, 3.0, math.nan])
+def test_zeta_rejects_s_outside_1_to_2(s):
+    with pytest.raises(ValueError, match="zeta"):
+        theory._zeta(s)
 
 
 @pytest.mark.parametrize("a_range", [(1.01, 5.0), (0.05, 0.99)], ids=["a>1", "a<1"])

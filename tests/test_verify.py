@@ -8,7 +8,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import hyp1f1
+from scipy.special import gammaln, hyp1f1
 
 from incpca import estimators, harness, linalg, theory, verify
 from incpca.distributions import CoordinateDistribution, GaussianSpectrum, random_unit_vectors
@@ -489,6 +489,17 @@ def test_mgf_moments_are_the_written_out_mean_and_standard_error(n, seed):
     assert rep.std_error == pytest.approx(
         float(y.std(ddof=1)) / math.sqrt(n), rel=1e-12, abs=0
     )
+
+
+def test_the_gamma_row_agrees_with_scipy_and_with_its_asymptote():
+    # incpca verify's grid; the row's largest log-ratio is at its last point
+    z = np.geomspace(1e-3, 1e6, 500)
+    rep = check_gamma_inequality(z)
+    assert rep.passed
+    scipy_form = float((gammaln(z + 0.5) - (0.5 * np.log(z) + gammaln(z))).max())
+    assert abs(rep.empirical - scipy_form) <= 4e-9
+    # log Gamma(z + 1/2) - log Gamma(z) - log(z)/2 = -1/(8z) + O(z^-3)
+    assert abs(check_gamma_inequality([1e6]).empirical + 1 / 8e6) <= 1e-9
 
 
 def test_pathwise_hand_worked_step():

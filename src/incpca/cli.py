@@ -183,15 +183,14 @@ def build_parser(
 
 
 @contextlib.contextmanager
-def _naming_the_run_flags(args, c: float):
-    """Check `run`'s step-size constant c, and name the flag behind each error of the run.
+def _naming_the_run_flags(args, rate: str, c: float):
+    """Check a simulation's step-size constant c, and name the flag behind each error.
 
-    c is --c, or c_o / (2 gap) for --c-o, which can be 0 or inf for a
-    finite flag.  An ArithmeticError (the states left the floating-point
-    range) names that flag, and a Gaussian draw that gives up names
-    --clip-radius.
+    `rate` is the step-size flag as given, such as "--c 1.0": c is --c, or
+    c_o / (2 gap) for `run`'s --c-o, which can be 0 or inf for a finite
+    flag.  An ArithmeticError (the states left the floating-point range)
+    names that flag, and a Gaussian draw that gives up names --clip-radius.
     """
-    rate = f"--c {args.c!r}" if args.c is not None else f"--c-o {args.c_o!r}"
     if not 0 < c < math.inf:
         raise ValueError(f"{rate}: need a positive, finite step-size constant, got c = {c!r}")
     try:
@@ -217,7 +216,8 @@ def _cmd_run(args) -> int:
         master_seed=args.seed,
         grid_points=args.grid_points,
     )
-    with _naming_the_run_flags(args, config.resolved_c()):
+    rate = f"--c {args.c!r}" if args.c is not None else f"--c-o {args.c_o!r}"
+    with _naming_the_run_flags(args, rate, config.resolved_c()):
         agg = harness.run_experiment(config)
     c_label = args.c if args.c is not None else f"co{args.c_o}"
     path = _out_path(args, f"experiment_{args.rule}_c{c_label}.csv")
@@ -241,16 +241,17 @@ def _cmd_slope(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     dist = _make_dist(args)
-    frac, se = harness.counterexample_experiment(
-        dist,
-        init_mode=args.init,
-        trials=args.trials,
-        horizon=args.horizon,
-        master_seed=args.seed,
-        rule=args.rule,
-        c=args.c,
-        init_k=args.init_k,
-    )
+    with _naming_the_run_flags(args, f"--c {args.c!r}", args.c):
+        frac, se = harness.counterexample_experiment(
+            dist,
+            init_mode=args.init,
+            trials=args.trials,
+            horizon=args.horizon,
+            master_seed=args.seed,
+            rule=args.rule,
+            c=args.c,
+            init_k=args.init_k,
+        )
     print(f"wrong_fraction={frac!r} std_error={se!r}")
     return 0
 

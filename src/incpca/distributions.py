@@ -107,22 +107,25 @@ class CoordinateDistribution:
         return GroundTruth(v_star=v, lambda1=self.p, lambda2=self.lambda2)
 
     def sample_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """(m, d) block of i.i.d. draws."""
-        return self._scatter(*self.draw_support(rng, m))
+        """(m, d) block of i.i.d. draws: m coordinate uniforms, then m sign uniforms."""
+        coords = self._coords(rng.random(m))
+        return self._scatter(coords, _signs(rng, m))
 
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
         """Blocks of at most `size` rows that concatenate to sample_block(rng, n).
 
-        The stream holds the n coordinate uniforms, then the n sign uniforms.
-        The first block therefore reads all n coordinate uniforms, `size` at
-        a time, and keeps their indices in one compact array (1 byte a
-        sample at d <= 256); each block then draws its own signs.  So the
-        stream is consumed as by one sample_block call with any bit
-        generator, and only one dense block is built at a time.  n < 0 or
-        size < 1 raises ValueError at the first block, before the stream is
-        read.
+        A draw of 0 < n <= size rows is one sample_block(rng, n) call.  A
+        longer one reads all n coordinate uniforms first, `size` at a time,
+        and keeps their indices in one compact array (1 byte a sample at
+        d <= 256); each block then draws its own signs.  So the stream is
+        consumed as by one sample_block call with any bit generator, and
+        only one dense block is built at a time.  n < 0 or size < 1 raises
+        ValueError at the first block, before the stream is read.
         """
         _check_block_sizes(n, size)
+        if 0 < n <= size:
+            yield self.sample_block(rng, n)
+            return
         coords = np.empty(n, dtype=np.min_scalar_type(self.d - 1))
         for a in range(0, n, size):
             coords[a : a + size] = self._coords(rng.random(min(size, n - a)))
@@ -153,16 +156,6 @@ class CoordinateDistribution:
         coords += 1
         np.copyto(coords, 0, where=head)
         return coords
-
-    def draw_support(self, rng: np.random.Generator, m: int):
-        """Compact draw of m samples: coordinate indices (intp, 0-based) and signs.
-
-        The stream holds the m coordinate uniforms, then the m sign uniforms.
-        `sample_block` is built from it, and `sample_blocks` reads the stream
-        in the same order, so all three consume it alike.
-        """
-        coords = self._coords(rng.random(m))
-        return coords, _signs(rng, m)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_block(rng, 1)[0]
@@ -266,16 +259,18 @@ class GaussianSpectrum:
     def sample_blocks(self, rng: np.random.Generator, n: int, size: int):
         """Blocks of at most `size` rows that concatenate to sample_block(rng, n).
 
-        Each block is drawn by its own sample_block call.  numpy's normal
+        Each block is drawn by its own sample_block call, so a draw of
+        0 < n <= size rows is one sample_block(rng, n) call.  numpy's normal
         stream is prefix-consistent, so without a rejection these are the rows
         of the one n-row draw, and the generator ends where that draw leaves
         it.  That draw redraws a rejected row only after all n rows, so at the
-        first block that rejects a row the generator is rewound to where this
-        reader started, and one sample_block(rng, n) serves the rest.  No draw
-        is 1 row high unless n is 1 (a 1-row tail is drawn with the block
-        before it): a 1-row rotation is a matrix-vector product, whose bits
-        differ from the same row's in a taller product.  n < 0 or size < 1
-        raises ValueError at the first block, before the stream is read.
+        first block short of the whole draw that rejects a row, the generator
+        is rewound to where this reader started, and one sample_block(rng, n)
+        serves the rest.  No draw is 1 row high unless n is 1 (a 1-row tail
+        is drawn with the block before it): a 1-row rotation is a
+        matrix-vector product, whose bits differ from the same row's in a
+        taller product.  n < 0 or size < 1 raises ValueError at the first
+        block, before the stream is read.
         """
         _check_block_sizes(n, size)
         start = rng.bit_generator.state
@@ -284,7 +279,7 @@ class GaussianSpectrum:
         while a < n:
             m = n - a if n - a <= height + 1 else height
             block, rejected = self.sample_block(rng, m, return_rejections=True)
-            if rejected:
+            if rejected and m < n:
                 rng.bit_generator.state = start
                 block = self.sample_block(rng, n)[a:]
                 m = n - a

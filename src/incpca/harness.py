@@ -19,15 +19,14 @@ each step reads its samples as one contiguous (trials, d) block, and is
 filled on every CPU the process may use; a trial's stream is read by one
 thread at a time, so its draws are identical whichever thread makes them.
 A run's samples live in one reused buffer, filled by one loop
-(`_chunk_blocks`): each trial's rows are copied into its column from a
-block its source returned.  From 128 trials on, a thread copies the
-blocks of T // SCRATCH_SHARE trials in one assignment, so each step gets
-that many trials' values as one contiguous run instead of d values per
-trial T * d apart.  A chunk of at most CHUNK_BYTES takes its blocks from
-one `sample_block` call per trial, and a larger one is filled
-CHUNK_BYTES // (trials * d * 8) steps at a time from each trial's own
-`sample_blocks` reader, which draws the same rows; only the chunk's size
-decides, never the source type.  So a yielded sample block is valid only
+(`_chunk_blocks`) a whole chunk at a time when it fits CHUNK_BYTES, and
+otherwise CHUNK_BYTES // (trials * d * 8) steps at a time: each trial's
+rows are copied into its column from the next block of the trial's own
+`sample_blocks` reader, which draws the rows of one `sample_block` call
+and alone decides how that draw is split.  From 128 trials on, a thread
+copies the blocks of T // SCRATCH_SHARE trials in one assignment, so each
+step gets that many trials' values as one contiguous run instead of d
+values per trial T * d apart.  So a yielded sample block is valid only
 until the next one is drawn.
 `step_batches` groups a run's steps for the batched potential and
 pathwise checks.
@@ -196,12 +195,11 @@ def _chunk_blocks(dist, rngs, m: int, buf):
 
     buf is an (S, T, d) array, filled S steps at a time on CPUS threads
     (`_on_threads`): each trial's rows are copied into its column from the
-    next block of its source.  A chunk of at most S steps is one block per
-    trial, from one `sample_block(rng, m)` call made on the thread that
-    copies it; a longer one comes from the trial's `sample_blocks(rng, m, S)`
-    reader, which draws what one `sample_block(rng, m)` draws, so the two
-    give the same bits.  A trial's generator is read by one thread only.
-    A block is overwritten when the next is drawn.
+    next block of its `sample_blocks(rng, m, S)` reader, which draws what
+    one `sample_block(rng, m)` draws (a chunk of at most S steps is that one
+    call).  Each block is drawn on the thread that copies it, and a trial's
+    generator is read by one thread only.  A block is overwritten when the
+    next is drawn.
 
     A trial's column is strided: its d values per step sit T * d apart.
     So with G = T // SCRATCH_SHARE >= 2, a thread stacks the n-row blocks
@@ -213,11 +211,7 @@ def _chunk_blocks(dist, rngs, m: int, buf):
     """
     S, T, d = buf.shape
     G = T // SCRATCH_SHARE
-    if m <= S:
-        # map is lazy: a trial's one draw runs on the thread that copies it
-        readers = [map(dist.sample_block, [rng], [m]) for rng in rngs]
-    else:
-        readers = [dist.sample_blocks(rng, m, S) for rng in rngs]
+    readers = [dist.sample_blocks(rng, m, S) for rng in rngs]
     for a in range(0, m, S):
         X = buf[: m - a]
         cols = X.transpose(1, 0, 2)

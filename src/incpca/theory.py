@@ -44,16 +44,17 @@ _EM_COEFS = tuple(
 
 @functools.cache
 def _zeta(s: float) -> float:
-    """Riemann zeta(s) for s in (1, 2), the a < 1 recurrence tail's zeta(2 - a).
+    """Riemann zeta(s) for s in (1, 2], the a < 1 recurrence tail's zeta(2 - a).
 
     Euler-Maclaurin at N = 10: the terms n^-s for n < N, the integral
     N^(1-s)/(s-1) and half-term N^-s/2 of the rest, and the corrections
     B_2k/(2k)! s(s+1)...(s+2k-2) N^(-s-2k+1) through B_14.  The first
-    omitted correction is below 1e-16 relative on (1, 2), so the sum
-    (math.fsum) is good to a few ulps.  Computed once per s.
+    omitted correction is below 1e-16 relative on (1, 2], so the sum
+    (math.fsum) is good to a few ulps.  s = 2 is reached when 2 - a rounds
+    to 2 for a tiny a.  Computed once per s.
     """
-    if not 1.0 < s < 2.0:
-        raise ValueError(f"zeta is computed for s in (1, 2), got {s!r}")
+    if not 1.0 < s <= 2.0:
+        raise ValueError(f"zeta is computed for s in (1, 2], got {s!r}")
     N = 10
     terms = [n**-s for n in range(1, N)]
     terms += [N ** (1.0 - s) / (s - 1.0), 0.5 * N**-s]

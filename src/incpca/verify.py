@@ -25,14 +25,16 @@ of `estimators.xi`, and Z from them by the expression that
 `estimators.z_increment` runs, so both keep those functions' bits.
 
 The Monte Carlo checks hold one block of at most _BLOCK samples at a time,
-not the sample matrix, and one block of their statistic: the xi and z
-checks see the draws of one `sample_block` call, and on coordinate data
-they also hold the coordinate indices of the whole draw (1 byte a sample
-at d <= 256; the signs are drawn block by block), and on Gaussian data
-the whole draw once a block rejects a row (`GaussianSpectrum.sample_blocks`
-replays it from the start).  All three merge their block moments in
-`_sample_moments`, so above _BLOCK samples their values differ from a
-one-shot mean and standard deviation (n - 1 form) in the last bits only.
+not the sample matrix, and one block of their statistic.  The xi and z
+checks read their draw from one `sample_blocks` reader: up to _BLOCK
+samples it is one `sample_block` call.  Above that they also hold, on
+coordinate data, the coordinate indices of the whole draw (1 byte a
+sample at d <= 256; the signs are drawn block by block), and on
+Gaussian data the whole draw once a block short of it rejects a row
+(`GaussianSpectrum.sample_blocks` replays it from the start).  All three
+merge their block moments in `_sample_moments`, so above _BLOCK samples
+their values differ from a one-shot mean and standard deviation (n - 1
+form) in the last bits only.
 """
 
 from __future__ import annotations

@@ -423,14 +423,34 @@ def test_a_step_size_that_overflows_is_one_line_naming_its_flag(tmp_path, capsys
     assert not out.exists()
 
 
-# each flag of `run` that sets the step size or the clip radius, at these values
+# each flag of `run` and `counterexample` that sets the step size or the clip
+# radius, at these values
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "1e308", "5e-324"]
+GAUSSIAN = ["--dist", "gaussian", "--eigenvalues", "2,1"]
+
+
+def _stdout_or_one_line_naming_a_flag(argv, given_flags):
+    """main(argv)'s stdout when it exits 0, else None once its error is checked.
+
+    The error must be exit 2 with one stderr line that names a given flag.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        return out.getvalue()
+    assert rc == 2
+    line = err.getvalue()
+    assert line.startswith("incpca: error: ") and line.count("\n") == 1
+    # a flag is named whole: --c is not named by --c-o or --clip-radius
+    assert any(re.search(rf"{f}(?![\w-])", line) for f, _ in given_flags), line
+    return None
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     rule=st.sampled_from(["krasulina", "oja"]),
-    dist=st.sampled_from([COORDINATE, ["--dist", "gaussian", "--eigenvalues", "2,1"]]),
+    dist=st.sampled_from([COORDINATE, GAUSSIAN]),
     rate=st.tuples(st.sampled_from(["--c", "--c-o"]), st.sampled_from(EDGE_VALUES)),
     clip=st.none() | st.sampled_from(EDGE_VALUES),
 )
@@ -438,24 +458,50 @@ def test_step_size_and_clip_flags_give_a_finite_csv_or_one_line_naming_a_flag(
     rule, dist, rate, clip
 ):
     given_flags = [rate] if clip is None else [rate, ("--clip-radius", clip)]
-    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "x.csv"
         argv = ["run", *dist, "--rule", rule, *(f"{f}={v}" for f, v in given_flags),
                 "--horizon", "20", "--trials", "2", "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        if rc == 0:
-            with open(out, newline="") as fh:
-                header, *rows = harness.read_csv(fh)
-            assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+        if _stdout_or_one_line_naming_a_flag(argv, given_flags) is None:
+            assert not out.exists()
             return
-        assert not out.exists()
-    assert rc == 2
-    line = err.getvalue()
-    assert line.startswith("incpca: error: ") and line.count("\n") == 1
-    # a flag is named whole: --c is not named by --c-o or --clip-radius
-    assert any(re.search(rf"{f}(?![\w-])", line) for f, _ in given_flags), line
+        with open(out, newline="") as fh:
+            header, *rows = harness.read_csv(fh)
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.sampled_from(["krasulina", "oja"]),
+    dist=st.sampled_from([COORDINATE, GAUSSIAN]),
+    init=st.sampled_from(["random_unit", "first_point"]),
+    c=st.sampled_from(EDGE_VALUES),
+    clip=st.none() | st.sampled_from(EDGE_VALUES),
+)
+def test_counterexample_gives_a_finite_fraction_or_one_line_naming_a_flag(
+    rule, dist, init, c, clip
+):
+    given_flags = [("--c", c)] if clip is None else [("--c", c), ("--clip-radius", clip)]
+    argv = ["counterexample", *dist, "--rule", rule, "--init", init,
+            *(f"{f}={v}" for f, v in given_flags), "--horizon", "20", "--trials", "2"]
+    stdout = _stdout_or_one_line_naming_a_flag(argv, given_flags)
+    if stdout is not None:
+        frac, se = re.fullmatch(r"wrong_fraction=(\S+) std_error=(\S+)\n", stdout).groups()
+        assert math.isfinite(float(frac)) and math.isfinite(float(se))
+
+
+def test_a_tiny_c_o_takes_zeta_at_2(tmp_path, capsys):
+    # below about 2.2e-16, 2 - c_o / 2 rounds to 2.0, where zeta is pi^2 / 6
+    out = tmp_path / "x.csv"
+    argv = ["bound", "--c-o", "1e-16", "--B", "1", "--d", "3", "--delta", "0.25",
+            "--n-o", "1000", "--lambda1", "0.9", "--lambda2", "0.05",
+            "--n-min", "1000", "--n-max", "100000", "--points", "5", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        header, *rows = harness.read_csv(fh)
+    assert header == ["n", "bound"] and len(rows) == 5
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_a_bound_that_overflows_writes_no_file(tmp_path, capsys):

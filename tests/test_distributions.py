@@ -152,7 +152,7 @@ def _allocating_gaussian_block(dist, rng, m):
     return x @ dist.rotation.T, rejected
 
 
-def _mask_draw_support(dist, rng, m):
+def _mask_support(dist, rng, m):
     """Reference: the tail's coordinates picked by boolean-mask indexing."""
     u = rng.random(m)
     coords = np.empty(m, dtype=np.intp)
@@ -168,14 +168,15 @@ def _mask_draw_support(dist, rng, m):
 @pytest.mark.parametrize("d", [2, 10])
 @pytest.mark.parametrize("p", [0.05, 0.2, 0.9])
 @pytest.mark.parametrize("m", [1, 5, 2048])
-def test_draw_support_matches_the_boolean_mask_form(d, p, m):
+def test_sample_block_matches_the_boolean_mask_form(d, p, m):
     dist = CoordinateDistribution(p=p, sigma=0.1, d=d)
     for seed in range(50):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        coords, signs = dist.draw_support(rng, m)
-        ref_coords, ref_signs = _mask_draw_support(dist, ref_rng, m)
-        assert coords.dtype == np.intp and np.array_equal(coords, ref_coords)
-        assert np.array_equal(signs, ref_signs)
+        rows = dist.sample_block(rng, m)
+        coords, signs = _mask_support(dist, ref_rng, m)
+        ref = np.zeros((m, d))
+        ref[np.arange(m), coords] = np.where(coords == 0, 1.0, dist.sigma) * signs
+        assert np.array_equal(rows, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -205,6 +206,32 @@ def test_sample_blocks_concatenate_to_one_sample_block(dist, size):
     assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
     assert 1 <= len(blocks[-1]) <= size
     assert np.array_equal(np.concatenate(blocks), ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [CoordinateDistribution(p=0.3, sigma=0.5, d=5), CLIPPED],
+    ids=["coordinate", "gaussian"],
+)
+@pytest.mark.parametrize("n, size", [(1, 1), (7, 7), (300, 1000), (1000, 1000)])
+def test_a_draw_that_fits_one_block_is_one_sample_block_call(monkeypatch, dist, n, size):
+    if dist is CLIPPED and n > 1:  # a draw that rejects rows is still not drawn twice
+        assert CLIPPED.sample_block(np.random.default_rng(8), n, return_rejections=True)[1] > 0
+    ref_rng = np.random.default_rng(8)
+    ref = dist.sample_block(ref_rng, n)
+    sample_block, calls = type(dist).sample_block, []
+
+    def recorded(self, rng, m, **kwargs):
+        out = sample_block(self, rng, m, **kwargs)
+        calls.append((m, out[0] if kwargs else out))
+        return out
+
+    monkeypatch.setattr(type(dist), "sample_block", recorded)
+    rng = np.random.default_rng(8)
+    (block,) = dist.sample_blocks(rng, n, size)
+    assert [m for m, _ in calls] == [n]
+    assert np.array_equal(block, calls[0][1]) and np.array_equal(block, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -228,6 +228,23 @@ def test_the_named_gaussian_draw_is_rejected():
     assert rejected > 300
 
 
+def test_a_whole_chunk_that_rejects_rows_is_drawn_once(monkeypatch):
+    # 7 trials of chunks of 2048, 2048 and 904 steps: one sample_block call
+    # per trial and chunk, though each chunk rejects rows
+    dist = GaussianSpectrum(eigenvalues=np.array([2.0, 1.0, 0.5]), clip_radius=4.0)
+    sample_block, calls = GaussianSpectrum.sample_block, []
+
+    def recorded(self, rng, m, **kwargs):
+        block, rejected = sample_block(self, rng, m, return_rejections=True)
+        calls.append((m, rejected))
+        return (block, rejected) if kwargs else block
+
+    monkeypatch.setattr(GaussianSpectrum, "sample_block", recorded)
+    simulate(dist, "oja", 1.0, 0, 5000, 7, 0)
+    assert len(calls) == 21 and sum(m for m, _ in calls) == 35_000
+    assert all(rejected > 0 for _, rejected in calls)
+
+
 @pytest.mark.parametrize("rule", ["krasulina", "oja"])
 @pytest.mark.parametrize(
     "dist", [GAUSS, TIGHT, ROTATED, DIST], ids=["gaussian", "tight-clip", "rotated", "coordinate"]
@@ -407,7 +424,7 @@ def test_closed_form_oja_matches_the_dense_engine(init_mode, init_k, n_o, horizo
 
 
 def _per_trial_oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid):
-    """Reference: harness._oja_coordinate_states with one draw_support call per trial."""
+    """Reference: harness._oja_coordinate_states with one sample_block call per trial."""
     T, d = V.shape
     points = np.unique(grid[grid > n_o])
     with np.errstate(divide="ignore"):
@@ -417,7 +434,8 @@ def _per_trial_oja_coordinate_states(dist, c, n_o, horizon, V, rngs, grid):
         m = min(CHUNK, horizon - n)
         coords = np.empty((T, m), dtype=np.intp)
         for row, rng in enumerate(rngs):
-            coords[row] = dist.draw_support(rng, m)[0]
+            # each row has one nonzero coordinate: the sampled one
+            coords[row] = np.abs(dist.sample_block(rng, m)).argmax(axis=1)
         steps = np.arange(n + 1, n + m + 1)
         gamma = c / steps
         logs = np.where(coords == 0, np.log1p(gamma), np.log1p(gamma * dist.sigma**2))
